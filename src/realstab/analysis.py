@@ -77,7 +77,7 @@ def poles(f: RationalFunction) -> list[complex]:
     den = f.den
     if den.is_constant:
         return []
-    if all(c == 0 for c in den.coeffs[:-1]):
+    if den.is_monomial:
         return [0j] * den.degree  # monic monomial z^k, exact
     roots = np.roots(den.float_coeffs_desc())
     return sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
@@ -264,11 +264,6 @@ def boundary_distance(root: complex) -> float:
     return abs(abs(root) - 1.0)
 
 
-def evaluate_at(Xm: TransferMatrix, z: complex) -> np.ndarray:
-    """Numeric matrix value at a point (thin wrapper kept for symmetry)."""
-    return Xm.evaluate(z)
-
-
 def roots_of(poly_like) -> list[complex]:
     """Roots of a Polynomial (or numerator of a RationalFunction)."""
     if isinstance(poly_like, RationalFunction):
@@ -277,7 +272,3 @@ def roots_of(poly_like) -> list[complex]:
         return []
     roots = np.roots(poly_like.float_coeffs_desc())
     return sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
-
-
-def unit_circle_point(omega: float) -> complex:
-    return cmath.exp(1j * omega)

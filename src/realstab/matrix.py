@@ -6,8 +6,11 @@ algebra is exact; equality is structural equality of the canonical entries
 (partitions are metadata and do not participate in comparisons).
 
 Inversion is exact Gauss-Jordan elimination over the rational-function
-field with canonicalized entries at every step, which at the intended
-sizes (up to roughly 16 x 16) keeps degrees and coefficients modest.
+field with canonicalized entries at every step. Degrees and coefficients
+grow with every elimination step, so the cost climbs steeply with size:
+on a 2-core Xeon VM, I - M/4 with dense random proper entries of degree
+up to 2 took 1-4 s at 6 x 6 and 22 s or more at 8 x 8. It suits the
+small loops this package builds.
 """
 
 from __future__ import annotations

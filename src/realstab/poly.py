@@ -1,52 +1,65 @@
 """Dense univariate polynomials in z with exact rational coefficients.
 
-A polynomial c0 + c1*z + ... + cn*z^n is stored as the tuple
-(c0, c1, ..., cn) of Fractions, ascending powers, with the leading
-coefficient nonzero. The zero polynomial is the single tuple (0,).
+A polynomial (n0 + n1*z + ... + nk*z^k) / d is stored as a private list
+of integer numerators [n0, ..., nk], ascending powers, over one positive
+integer denominator d. The form is canonical: the leading numerator is
+nonzero, gcd(n0, ..., nk, d) == 1, and the zero polynomial is [0] over 1.
+Equality is therefore structural. ``coeffs`` is a read-only view of the
+same value as a tuple of Fractions.
 
-All arithmetic is exact. Floating point enters only through
-``float_coeffs_desc``, the bridge to the numeric analysis layer
-(root finding, frequency sweeps).
+All arithmetic is exact and runs on the integers; a Fraction is built only
+when a caller asks for ``coeffs`` or ``leading``. Floating point enters
+only through ``float_coeffs_desc`` and numeric evaluation, the bridge to
+the numeric analysis layer (root finding, frequency sweeps).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value) -> Fraction | int:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
+
+
+def _raw(n: list[int], d: int) -> "Polynomial":
+    # Internal: n/d is already canonical.
+    obj = object.__new__(Polynomial)
+    obj._n = n
+    obj._d = d
+    return obj
+
+
+def _canon(n: list[int], d: int) -> "Polynomial":
+    """Canonical n/d from any integer list (stripped in place) and d > 0."""
+    n = _int_strip(n)
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = [c // g for c in n]
+            d //= g
+    return _raw(n, d)
 
 
 class Polynomial:
     """Immutable dense polynomial over the rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs=(0,)):
         cs = [_coerce(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [_ZERO]
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _make(cls, cs: list[Fraction]) -> "Polynomial":
-        # Internal: coefficients are known-exact Fractions, only strip zeros.
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        obj = object.__new__(cls)
-        obj.coeffs = tuple(cs) if cs else (_ZERO,)
-        return obj
+        d = 1
+        for c in cs:
+            cd = c.denominator
+            if cd != 1:
+                d = d * cd // gcd(d, cd)
+        # With reduced Fractions and d their lcm, gcd(numerators, d) is 1.
+        n = _int_strip([c.numerator * (d // c.denominator) for c in cs])
+        self._n = n
+        self._d = d if n[-1] else 1
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
@@ -57,35 +70,48 @@ class Polynomial:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Ascending coefficients as Fractions (a view built on each access)."""
+        d = self._d
+        return tuple(Fraction(c, d) for c in self._n)
+
+    @property
     def degree(self) -> int:
         """Length-based degree; the zero polynomial reports 0 (see is_zero)."""
-        return len(self.coeffs) - 1
+        return len(self._n) - 1
 
     @property
     def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 0
+        return not self._n[-1]
 
     @property
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
+        n = self._n
+        return len(n) == 1 and n[0] == 1 and self._d == 1
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self._n) == 1
+
+    @property
+    def is_monomial(self) -> bool:
+        """True for c*z^k (constants included): every lower coefficient is 0."""
+        return not any(self._n[:-1])
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1]
+        return Fraction(self._n[-1], self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self._d == other._d and self._n == other._n
         if isinstance(other, (int, Fraction)):
-            return self.is_constant and self.coeffs[0] == other
+            n = self._n
+            return len(n) == 1 and n[0] == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._d, *self._n))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -109,30 +135,45 @@ class Polynomial:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-    def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+    def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other."""
+        a, b = self._n, other._n
+        da, db = self._d, other._d
+        if da == db:
+            d = da
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            d = da * ma
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+        if sign < 0:
+            b = [-c for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial._make(out)
+        return _canon(out, d)
+
+    def __add__(self, other) -> "Polynomial":
+        if isinstance(other, (int, Fraction)):
+            other = Polynomial((other,))
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._make([-c for c in self.coeffs])
+        return _raw([-c for c in self._n], self._d)
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -142,54 +183,61 @@ class Polynomial:
             return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial((0,))
-        if other.is_constant:
-            return self.scale(other.coeffs[0])
-        if self.is_constant:
-            return other.scale(self.coeffs[0])
-        # Convolve over the integers; one Fraction normalization per output
-        # coefficient is much cheaper than Fraction arithmetic throughout.
-        a, da = _clear_denominators(self.coeffs)
-        b, db = _clear_denominators(other.coeffs)
+        a, b = self._n, other._n
+        if len(b) == 1:
+            return self._scaled(b[0], other._d)
+        if len(a) == 1:
+            return other._scaled(a[0], self._d)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        d = da * db
-        return Polynomial._make([Fraction(c, d) for c in out])
+            if ai:
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return _canon(out, self._d * other._d)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Polynomial":
         factor = _coerce(factor)
-        if factor == 0:
-            return Polynomial((0,))
-        return Polynomial._make([c * factor for c in self.coeffs])
+        return self._scaled(factor.numerator, factor.denominator)
+
+    def _scaled(self, p: int, q: int) -> "Polynomial":
+        """self * p / q for integers p and q != 0."""
+        if not p:
+            return _ZERO
+        if q < 0:
+            p, q = -p, -q
+        if p == 1:
+            n = self._n
+        elif p == -1:
+            n = [-c for c in self._n]
+        else:
+            n = [c * p for c in self._n]
+        return _canon(n, self._d * q)
 
     def __divmod__(self, other):
         """Polynomial long division over the rationals; other must be nonzero.
 
-        Runs fraction-free over the integers: with A, B the
-        denominator-cleared operands, lc(B)^t A = Q B + R, and the true
-        quotient and remainder are recovered by one Fraction
-        normalization per coefficient.
+        Runs fraction-free on the numerators: lc(B)^t A = Q B + R, and the
+        true quotient and remainder are Q db / (da lc(B)^t) and
+        R / (da lc(B)^t), with A/da and B/db the operands.
         """
         if not isinstance(other, Polynomial):
             other = Polynomial((other,))
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero or self.degree < other.degree:
-            return Polynomial((0,)), self
-        a, da = _clear_denominators(self.coeffs)
-        b, db = _clear_denominators(other.coeffs)
-        q_int, r_int, lead_pow = _int_pdiv(a, b)
-        qden = da * lead_pow
-        q = [Fraction(c * db, qden) for c in q_int]
-        r = [Fraction(c, qden) for c in r_int]
-        return Polynomial._make(q), Polynomial._make(r or [_ZERO])
+            return _ZERO, self
+        q_int, r_int, lead_pow = _int_pdiv(self._n, other._n)
+        qden = self._d * lead_pow
+        if qden < 0:
+            qden = -qden
+            q_int = [-c for c in q_int]
+            r_int = [-c for c in r_int]
+        db = other._d
+        if db != 1:
+            q_int = [c * db for c in q_int]
+        return _canon(q_int, qden), _canon(r_int, qden)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -198,149 +246,140 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
+        n = self._n
+        lead = n[-1]
+        if lead == self._d or not lead:
             return self
-        lead = self.leading
-        if lead == 1:
-            return self
-        return self.scale(_ONE / lead)
+        # n/d divided by lead/d is n/lead; the content divides lead.
+        g = gcd(*n)
+        if lead < 0:
+            g = -g
+        return _raw([c // g for c in n], lead // g)
 
     def __call__(self, x):
         """Horner evaluation; x may be a Fraction, float, or complex."""
-        acc = self.coeffs[-1]
-        if not isinstance(x, Fraction):
-            acc = complex(acc) if isinstance(x, complex) else float(acc)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+        if isinstance(x, Fraction):
+            acc = 0
+            for c in reversed(self._n):
+                acc = acc * x + c
+            return Fraction(acc) / self._d
+        cs = self.float_coeffs_desc()
+        acc = complex(cs[0]) if isinstance(x, complex) else cs[0]
+        for c in cs[1:]:
+            acc = acc * x + c
         return acc
 
     def float_coeffs_desc(self) -> list[float]:
-        """Descending-power float coefficients for numpy consumption."""
-        return [float(c) for c in reversed(self.coeffs)]
+        """Descending-power float coefficients for numpy consumption.
+
+        Integer true division is correctly rounded, so each value equals
+        float() of the corresponding Fraction coefficient.
+        """
+        d = self._d
+        return [c / d for c in reversed(self._n)]
 
 
-def _clear_denominators(coeffs) -> tuple[list[int], int]:
-    """Integer coefficient image (c * lcm for every c) plus the lcm used."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+_ZERO = _raw([0], 1)
+_ONE = _raw([1], 1)
+
+
+def monic_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(num / lc(den), den / lc(den)): the same ratio over a monic den (nonzero)."""
+    lead = den._n[-1]
+    if lead == den._d:
+        return num, den
+    return num._scaled(den._d, lead), den.monic()
 
 
 def _int_pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
     """Fraction-free division: lc(b)^t * a = q * b + r with t = deg a - deg b + 1."""
     db = len(b) - 1
     lb = b[-1]
-    t = len(a) - 1 - db + 1
-    r = list(a)
-    q = [0] * t
+    t = len(a) - db
+    r = a
+    tops = []
     for k in range(t - 1, -1, -1):
-        top = r[db + k]
-        for i in range(t):
-            q[i] *= lb
-        q[k] += top
-        for i in range(len(r)):
-            r[i] *= lb
-        for i in range(db + 1):
-            r[k + i] -= top * b[i]
-        r.pop()
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    return q, r, lb ** t
+        # lb * r - top * z^k * b, whose top coefficient cancels.
+        top = r[-1]
+        tops.append(top)
+        r = [lb * c for c in r[:k]] + [lb * x - top * y for x, y in zip(r[k:-1], b)]
+    # Each quotient coefficient is scaled by lb once per later step.
+    q, scale = [], 1
+    for top in reversed(tops):
+        q.append(top * scale)
+        scale *= lb
+    return q, r, scale
 
 
 def _valuation(p: Polynomial) -> int:
     """Index of the lowest nonzero coefficient (order of the root at z = 0)."""
-    for k, c in enumerate(p.coeffs):
-        if c != 0:
+    for k, c in enumerate(p._n):
+        if c:
             return k
     return 0
 
 
-def _is_monomial(p: Polynomial) -> bool:
-    return all(c == 0 for c in p.coeffs[:-1])
-
-
-def _to_int_coeffs(p: Polynomial) -> list[int]:
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-    return [int(c * den_lcm) for c in p.coeffs]
-
-
-def _int_gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 def _int_primitive(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = _int_gcd(g, abs(x))
-        if g == 1:
-            return v
-    return [x // g for x in v] if g else v
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def _int_strip(v: list[int]) -> list[int]:
-    while len(v) > 1 and v[-1] == 0:
+    """v without trailing zeros (in place); keeps the last element, so a
+    canonical list, [0] included, is never changed."""
+    while len(v) > 1 and not v[-1]:
         v.pop()
-    return v
+    return v or [0]
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of a by b (result differs from a mod b by lc(b)^k)."""
     db = len(b) - 1
     lb = b[-1]
-    r = _int_strip(list(a))
-    while len(r) - 1 >= db and not (len(r) == 1 and r[0] == 0):
+    r = a
+    while len(r) > db and r[-1]:
         lr = r[-1]
         shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i in range(db + 1):
-            r[shift + i] -= lr * b[i]
-        r.pop()
-        _int_strip(r)
-        if not r:
-            r = [0]
+        r = _int_strip([lb * c for c in r[:shift]]
+                       + [lb * x - lr * y for x, y in zip(r[shift:-1], b)])
     return r
 
 
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    a = _int_primitive(_int_strip(list(a)))
-    b = _int_primitive(_int_strip(list(b)))
+    """Primitive gcd of two nonzero stripped integer polynomials (primitive PRS)."""
+    a = _int_primitive(a)
+    b = _int_primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    while not (len(b) == 1 and b[0] == 0):
-        if len(b) == 1:
-            return [1]
-        r = _int_prem(a, b)
-        a, b = b, _int_primitive(_int_strip(r))
-    return a
+    while len(b) > 1:
+        a, b = b, _int_primitive(_int_prem(a, b))
+    return a if not b[0] else [1]
+
+
+def _monomial(k: int) -> Polynomial:
+    return _raw([0] * k + [1], 1)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd of two polynomials.
 
     Constants and monomials short-circuit (the FIR denominators z^k this
-    package produces fall here); the general case clears denominators and
-    runs primitive pseudo-remainder Euclid over the integers, which is far
-    cheaper than Fraction arithmetic.
+    package produces fall here); the general case runs primitive
+    pseudo-remainder Euclid on the integer numerators, whose gcd differs
+    from the rational one only by a constant factor.
     """
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
     if a.is_constant or b.is_constant:
-        return Polynomial((1,))
-    if _is_monomial(a):
-        k = min(a.degree, _valuation(b))
-        return Polynomial([0] * k + [1])
-    if _is_monomial(b):
-        k = min(b.degree, _valuation(a))
-        return Polynomial([0] * k + [1])
-    g = _int_poly_gcd(_to_int_coeffs(a), _to_int_coeffs(b))
-    return Polynomial(g).monic()
+        return _ONE
+    if a.is_monomial:
+        return _monomial(min(a.degree, _valuation(b)))
+    if b.is_monomial:
+        return _monomial(min(b.degree, _valuation(a)))
+    g = _int_poly_gcd(a._n, b._n)
+    # g is primitive, so g / lc(g) is already reduced.
+    if g[-1] < 0:
+        g = [-c for c in g]
+    return _raw(g, g[-1])

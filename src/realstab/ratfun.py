@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroDenominator
-from .poly import Polynomial, poly_gcd
+from .poly import _ONE, _ZERO, Polynomial, monic_pair, poly_gcd
 
 
 def _as_poly(value) -> Polynomial:
@@ -32,36 +32,24 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDenominator("denominator is identically zero")
         if num.is_zero:
-            self.num = Polynomial((0,))
-            self.den = Polynomial((1,))
+            self.num = _ZERO
+            self.den = _ONE
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
             num = num // g
             den = den // g
-        lead = den.leading
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = monic_pair(num, den)
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         # Trusted constructor: num/den already coprime, only monic scaling left.
         obj = object.__new__(cls)
         if num.is_zero:
-            obj.num = Polynomial((0,))
-            obj.den = Polynomial((1,))
+            obj.num = _ZERO
+            obj.den = _ONE
             return obj
-        lead = den.leading
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        obj.num = num
-        obj.den = den
+        obj.num, obj.den = monic_pair(num, den)
         return obj
 
     @classmethod
@@ -103,7 +91,7 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.den.is_one:

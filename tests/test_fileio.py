@@ -33,6 +33,7 @@ from realstab.fileio import (
 )
 from realstab.iop import iop_from_loop, iop_verify
 from realstab.matrix import StateSpace, TransferMatrix
+from realstab.poly import Polynomial
 from realstab.sls import sls_of_from_controller, sls_of_verify
 from realstab.uncertainty import Certificate, SampleStats
 from realstab.youla import coprime_from_gains
@@ -220,3 +221,142 @@ def test_report_canonical_bytes(tmp_path):
     save_report(dict(reversed(list(report.items()))), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert load_report(p1) == report
+
+
+# -- outputs pinned across changes of the polynomial storage -------------------
+# Any internal representation of polynomials must serialize these values to
+# exactly these strings: system files and reports are compared byte for byte.
+
+W24, W40 = Fraction(1, 2 ** 24), Fraction(1, 2 ** 40)
+
+
+def _pinned_system():
+    P = Polynomial
+    # Non-monic, negative leading denominator coefficient, common factor 2z - 3.
+    p11 = rf(P([3, -2]), P([6, 2, -4]))
+    p12 = rf(P([W40, W24]), P([W24, -W40, 1]))
+    p21 = rf(P([Fraction(-5, 7), 0, Fraction(3, 2)]), P([W40, 0, Fraction(-7, 3), 2]))
+    plant = TransferMatrix.from_rows([[p11, p12], [p21, rf(Fraction(-9, 4))]])
+    controller = TransferMatrix.from_rows(
+        [[rf(Fraction(-7, 3)), rf(P([5 * W40]), P([W24, 3]))],
+         [rf(P([0, W24]), P([Fraction(1, 3), 0, -6])), rf(0)]])
+    return SystemDocument(kind="plant-controller", plant=plant, controller=controller)
+
+
+PINNED_PLANT_ENTRIES = [{'den': ['1', '1'], 'num': ['1/2']},
+ {'den': ['1/16777216', '-1/1099511627776', '1'],
+  'num': ['1/1099511627776', '1/16777216']},
+ {'den': ['1/2199023255552', '0', '-7/6', '1'], 'num': ['-5/14', '0', '3/4']}, '-9/4']
+
+PINNED_LOOP_ENTRIES = [{'den': ['-1/301989888', '-21845/6597069766656', '-366503482709/6597069766656',
+          '-549755224073/9895604649984', '1099511627775/1099511627776', '1'],
+  'num': ['7/603979776', '7696405233655/996124179980315787264',
+          '193690604966134611959/996124179980315787264',
+          '1970322723093751/15199648742375424', '-11544872091641/3298534883328',
+          '-7/3']},
+ {'den': ['1/50331648', '50331649/50331648', '1'],
+  'num': ['5/2199023255552', '5/3298534883328']},
+ {'den': ['-1/39582418599936', '0', '3848290697243/59373627899904', '-1/18', '-7/6',
+          '1'],
+  'num': ['-5/108', '5/885443715538058477568', '67/72', '-35/2415919104',
+          '-704643067/402653184']},
+ {'den': ['1/110680464442257309696', '1/2199023255552', '-7/301989888',
+          '-58720255/50331648', '1'],
+  'num': ['-25/46179488366592', '0', '5/4398046511104']}]
+
+PINNED_SYSTEM_TEXT = """\
+{
+  "controller": {
+    "cols": 2,
+    "entries": [
+      [
+        "-7/3",
+        {
+          "den": [
+            "1/50331648",
+            "1"
+          ],
+          "num": [
+            "5/3298534883328"
+          ]
+        }
+      ],
+      [
+        {
+          "den": [
+            "-1/18",
+            "0",
+            "1"
+          ],
+          "num": [
+            "0",
+            "-1/100663296"
+          ]
+        },
+        "0"
+      ]
+    ],
+    "rows": 2
+  },
+  "kind": "plant-controller",
+  "plant": {
+    "cols": 2,
+    "entries": [
+      [
+        {
+          "den": [
+            "1",
+            "1"
+          ],
+          "num": [
+            "1/2"
+          ]
+        },
+        {
+          "den": [
+            "1/16777216",
+            "-1/1099511627776",
+            "1"
+          ],
+          "num": [
+            "1/1099511627776",
+            "1/16777216"
+          ]
+        }
+      ],
+      [
+        {
+          "den": [
+            "1/2199023255552",
+            "0",
+            "-7/6",
+            "1"
+          ],
+          "num": [
+            "-5/14",
+            "0",
+            "3/4"
+          ]
+        },
+        "-9/4"
+      ]
+    ],
+    "rows": 2
+  },
+  "version": "realstab/1"
+}
+"""
+
+
+def test_ratfun_json_pinned():
+    doc = _pinned_system()
+    assert [ratfun_to_json(e) for e in doc.plant.entries] == PINNED_PLANT_ENTRIES
+    loop = doc.plant * doc.controller + doc.controller
+    assert [ratfun_to_json(e) for e in loop.entries] == PINNED_LOOP_ENTRIES
+
+
+def test_system_dumps_pinned():
+    doc = _pinned_system()
+    text = dumps_canonical(system_to_json(doc))
+    assert text == PINNED_SYSTEM_TEXT
+    assert dumps_canonical(system_to_json(parse_system(json.loads(text)))) == text

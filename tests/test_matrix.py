@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -142,3 +143,16 @@ def test_statespace_transfer_with_feedthrough():
     ss = StateSpace([[HALF]], [[1]], [[2]], [[1]])
     # 2/(z - 1/2) + 1 = (z + 3/2)/(z - 1/2)
     assert ss.transfer() == TransferMatrix(1, 1, [rf(Z + Fraction(3, 2), Z - HALF)])
+
+
+def test_pickle_round_trip(rng):
+    # The REALSTAB_THREADS > 1 process pool pickles these into its workers.
+    X = random_proper_tm(rng, 2, 3)
+    X = X.with_blocks((("a", 1), ("b", 1)), (("c", 2), ("d", 1)))
+    wide = rf(Z * Fraction(1, 2 ** 40) - Fraction(3, 2 ** 24), Z * Z - HALF)
+    for value in (wide.num, wide.den, wide, X):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+    back = pickle.loads(pickle.dumps(X))
+    assert back.row_blocks == X.row_blocks and back.col_blocks == X.col_blocks
+    assert back * back.transpose() == X * X.transpose()

@@ -99,3 +99,19 @@ def test_evaluation():
     assert p(Fraction(2)) == 5
     assert p(1j) == 0j
     assert p.float_coeffs_desc() == [1.0, 0.0, 1.0]
+
+
+def test_arithmetic_leaves_operands_unchanged():
+    # Results may share an operand's numerator list, so no operation may
+    # change a stored list; the shared zero that divmod returns included.
+    one = Polynomial([1])
+    for z in (Polynomial([0]), one // Polynomial.z()):
+        z * 1
+        z.scale(Fraction(1, 3))
+        z * one
+        one * z
+        assert z.is_zero and z.degree == 0 and z.coeffs == (0,)
+    assert (one // Polynomial.z()).is_zero
+    p = Polynomial([Fraction(1, 2), 0, 3])
+    p * 1, p * one, p.scale(Fraction(2, 3)), p + 0, p - p, p.monic()
+    assert p.coeffs == (Fraction(1, 2), 0, 3)

@@ -1,0 +1,140 @@
+"""Differential and property tests of the exact polynomial core.
+
+sympy's Poly over QQ is the oracle for the arithmetic and hypothesis draws
+the operands, including coefficients with wide power-of-two denominators
+like the 2^24 taps and 2^40 scales the Monte-Carlo sampler produces. Both
+tools are test-only; the module is skipped when either is missing.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from realstab.poly import Polynomial, poly_gcd  # noqa: E402
+
+Z = sympy.Symbol("z")
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+denominators = st.sampled_from([1, 2, 3, 7, 12, 2 ** 24, 2 ** 40, 3 * 2 ** 40])
+rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), denominators)
+small_rationals = st.builds(Fraction, st.integers(-5, 5), denominators)
+# Numerators past 2^53, where converting to float before dividing rounds twice.
+wide_rationals = st.builds(Fraction, st.integers(2 ** 53, 2 ** 70) | st.integers(-2 ** 70, -2 ** 53),
+                           denominators)
+
+
+def polys(max_degree=5, elements=rationals):
+    return st.lists(elements, min_size=0, max_size=max_degree + 1).map(Polynomial)
+
+
+def nonzero_polys(max_degree=4, elements=rationals):
+    return polys(max_degree, elements).filter(lambda p: not p.is_zero)
+
+
+def to_sympy(p: Polynomial):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, Z, domain="QQ")
+
+
+def from_sympy(poly) -> Polynomial:
+    return Polynomial([Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())])
+
+
+def assert_canonical(p: Polynomial):
+    n, d = p._n, p._d
+    assert isinstance(n, list) and n and all(type(c) is int for c in n)
+    assert type(d) is int and d > 0
+    assert len(n) == 1 or n[-1] != 0
+    assert gcd(d, *n) == 1
+    if p.is_zero:
+        assert n == [0] and d == 1
+    # The Fraction view and the constructor agree with the stored form.
+    assert Polynomial(p.coeffs)._n == n and Polynomial(p.coeffs)._d == d
+
+
+@SETTINGS
+@given(polys(), polys())
+def test_mul_matches_sympy(a, b):
+    prod = a * b
+    assert_canonical(prod)
+    assert prod == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@SETTINGS
+@given(polys(), polys())
+def test_add_and_sub_match_sympy(a, b):
+    total, diff = a + b, a - b
+    assert_canonical(total)
+    assert_canonical(diff)
+    assert total == from_sympy(to_sympy(a) + to_sympy(b))
+    assert diff == from_sympy(to_sympy(a) - to_sympy(b))
+
+
+@SETTINGS
+@given(polys(6), nonzero_polys())
+def test_divmod_matches_sympy(a, b):
+    q, r = divmod(a, b)
+    assert_canonical(q)
+    assert_canonical(r)
+    assert q * b + r == a
+    assert r.is_zero or r.degree < b.degree
+    sq, sr = sympy.div(to_sympy(a), to_sympy(b))
+    assert (q, r) == (from_sympy(sq), from_sympy(sr))
+
+
+@SETTINGS
+@given(nonzero_polys(3, small_rationals), nonzero_polys(3, small_rationals),
+       nonzero_polys(2, small_rationals))
+def test_gcd_matches_sympy(a, b, c):
+    # A drawn common factor makes nontrivial gcds common.
+    a, b = a * c, b * c
+    g = poly_gcd(a, b)
+    assert_canonical(g)
+    assert g.leading == 1
+    assert g == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).monic())
+
+
+@SETTINGS
+@given(polys(), rationals)
+def test_scale_monic_and_negation_are_canonical(p, factor):
+    for q in (p.scale(factor), -p, p.monic(), p * factor, p + factor):
+        assert_canonical(q)
+    assert p.scale(factor) == from_sympy(to_sympy(p) * sympy.Rational(factor.numerator,
+                                                                      factor.denominator))
+    if not p.is_zero:
+        assert p.monic().leading == 1
+        assert p.monic() * p.leading == p
+
+
+@SETTINGS
+@given(polys(elements=rationals | wide_rationals))
+def test_float_coeffs_are_bit_equal_to_fraction_floats(p):
+    assert p.float_coeffs_desc() == [float(c) for c in reversed(p.coeffs)]
+
+
+@SETTINGS
+@given(polys(), rationals)
+def test_exact_evaluation_matches_sympy(p, x):
+    value = p(x)
+    assert isinstance(value, Fraction)
+    assert value == Fraction(str(to_sympy(p).eval(sympy.Rational(x.numerator, x.denominator))))
+
+
+@SETTINGS
+@given(st.lists(rationals, max_size=6))
+def test_coeffs_view_round_trips(cs):
+    p = Polynomial(cs)
+    assert_canonical(p)
+    trimmed = list(cs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert p.coeffs == (tuple(trimmed) or (Fraction(0),))
+    assert Polynomial(p.coeffs) == p
+    assert hash(Polynomial(p.coeffs)) == hash(p)
