@@ -259,11 +259,6 @@ def freq_response(Xm, n_points: int) -> list[tuple[float, list[float]]]:
     return [(float(om), [float(s) for s in row]) for om, row in zip(omegas, svals)]
 
 
-def boundary_distance(root: complex) -> float:
-    """Distance of |root| from the unit circle, abs(|root| - 1)."""
-    return abs(abs(root) - 1.0)
-
-
 def roots_of(poly_like) -> list[complex]:
     """Roots of a Polynomial (or numerator of a RationalFunction)."""
     if isinstance(poly_like, RationalFunction):

@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -56,15 +55,12 @@ from .fileio import (
     num_to_json,
 )
 from .iop import iop_from_loop, iop_margin, iop_verify
-from .matrix import TransferMatrix
 from .realization import perturbed_stability, stability_matrix
 from .sls import sls_of_from_controller, sls_of_margin, sls_of_verify, sls_sf_from_gain
 from .uncertainty import (
     Certificate,
     UncertaintySpec,
-    default_jobs,
     monte_carlo_certify,
-    sample_delta,
     worst_case_delta,
 )
 from .youla import coprime_from_gains, observer_controller
@@ -144,16 +140,24 @@ def cmd_perturb(args) -> int:
     return _VERDICT_EXIT[verdict.status]
 
 
-def _margin_operand(doc: SystemDocument, condition: str):
-    if condition == "cor3":
+def _verified_section(doc: SystemDocument, condition: str):
+    """The file's 'iop' quadruple (cor3, cor9) or 'sls_of' maps (cor7, cor8), verified."""
+    if condition in ("cor3", "cor9"):
         quad = doc_iop(doc)
         if not iop_verify(quad.G, quad):
             raise MissingBlocks("the 'iop' section does not verify against the plant")
-        return quad.U, iop_margin(quad), "small-gain-IOP"
+        return quad
     maps = doc_sls_of(doc)
     if not sls_of_verify(doc.state_space, maps):
         raise MissingBlocks("the 'sls_of' section does not verify against the plant")
-    return maps.block(), sls_of_margin(maps), "small-gain-SLS-OF"
+    return maps
+
+
+def _margin_operand(doc: SystemDocument, condition: str):
+    section = _verified_section(doc, condition)
+    if condition == "cor3":
+        return section.U, iop_margin(section), "small-gain-IOP"
+    return section.block(), sls_of_margin(section), "small-gain-SLS-OF"
 
 
 def cmd_margin(args) -> int:
@@ -204,27 +208,6 @@ def _load_constraint(spec_str: str):
         raise SchemaError(f"cannot load constraint hook {spec_str!r}: {exc}") from exc
 
 
-def _count_constraint_violations(doc, spec, n, hook) -> int:
-    system = build_realization(doc)
-    S_hat = stability_matrix(system)
-    shape = (system.partition, system.partition)
-    violations = 0
-    for i in range(n):
-        if i == 0:
-            delta = TransferMatrix.zeros(system.R.rows, system.R.cols,
-                                         system.partition, system.partition)
-        else:
-            delta = sample_delta(replace(spec, seed=spec.seed + i), shape)
-        try:
-            s_d = perturbed_stability(S_hat, delta)
-        except SingularPerturbedLoop:
-            violations += 1
-            continue
-        if not hook(system.R + delta, s_d):
-            violations += 1
-    return violations
-
-
 def cmd_sample(args) -> int:
     started = time.perf_counter()
     if args.n < 1:
@@ -233,34 +216,30 @@ def cmd_sample(args) -> int:
     if args.radius <= 0:
         print("sample: --radius must be positive", file=sys.stderr)
         return 64
+    hook = None
+    if args.constraint:
+        if args.condition != "lemma2-direct":
+            print("sample: --constraint is only available with lemma2-direct",
+                  file=sys.stderr)
+            return 64
+        hook = _load_constraint(args.constraint)
     doc = load_system(args.system)
-    if args.blocks:
-        mask = set()
-        for pair in args.blocks.split(","):
-            a, _, b = pair.partition(":")
-            if not a or not b:
-                print(f"sample: bad --blocks entry {pair!r}", file=sys.stderr)
-                return 64
-            mask.add((a.strip(), b.strip()))
-    elif args.condition == "lemma2-direct":
-        system = build_realization(doc)
-        mask = {(a, b) for a, _ in system.partition for b, _ in system.partition}
-    else:
-        mask = _CONDITION_MASKS[args.condition]
-    spec = UncertaintySpec(block_mask=frozenset(mask), radius=args.radius,
-                           sample_order=args.order, seed=args.seed)
+    mask = set()
+    for pair in args.blocks.split(",") if args.blocks else ():
+        a, _, b = pair.partition(":")
+        if not a or not b:
+            print(f"sample: bad --blocks entry {pair!r}", file=sys.stderr)
+            return 64
+        mask.add((a.strip(), b.strip()))
     if args.condition == "lemma2-direct":
         nominal = build_realization(doc)
-    elif args.condition in ("cor3", "cor9"):
-        nominal = doc_iop(doc)
-        if not iop_verify(nominal.G, nominal):
-            raise MissingBlocks("the 'iop' section does not verify against the plant")
+        mask = mask or {(a, b) for a, _ in nominal.partition for b, _ in nominal.partition}
     else:
-        nominal = doc_sls_of(doc)
-        if not sls_of_verify(doc.state_space, nominal):
-            raise MissingBlocks("the 'sls_of' section does not verify against the plant")
-    cert = monte_carlo_certify(nominal, spec, args.n, args.condition,
-                               n_jobs=default_jobs())
+        nominal = _verified_section(doc, args.condition)
+        mask = mask or _CONDITION_MASKS[args.condition]
+    spec = UncertaintySpec(block_mask=frozenset(mask), radius=args.radius,
+                           sample_order=args.order, seed=args.seed)
+    cert = monte_carlo_certify(nominal, spec, args.n, args.condition, constraint=hook)
     st = cert.sample_stats
     print(f"samples: {st.n_samples} stable: {st.n_stable} marginal: {st.n_marginal} "
           f"unstable: {st.n_unstable} worst-norm: {st.worst_sample_norm}")
@@ -269,14 +248,8 @@ def cmd_sample(args) -> int:
     result = {"radius": num_to_json(args.radius), "n": args.n, "seed": args.seed,
               "order": args.order, "condition": args.condition,
               "blocks": sorted([a, b] for a, b in mask)}
-    if args.constraint:
-        if args.condition != "lemma2-direct":
-            print("sample: --constraint is only available with lemma2-direct",
-                  file=sys.stderr)
-            return 64
-        hook = _load_constraint(args.constraint)
-        result["constraint_violations"] = _count_constraint_violations(
-            doc, spec, args.n, hook)
+    if hook is not None:
+        result["constraint_violations"] = st.constraint_violations
     report["result"] = result
     _finish_report(report, args, started)
     return 0 if st.n_stable == st.n_samples else 1

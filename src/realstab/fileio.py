@@ -352,8 +352,6 @@ def num_to_json(x: float):
 def _num_from_json(obj):
     if obj is None:
         return None
-    if isinstance(obj, str):
-        return float(obj)
     return float(obj)
 
 

@@ -74,6 +74,7 @@ class SampleStats:
     n_marginal: int
     n_unstable: int
     worst_sample_norm: float
+    constraint_violations: int | None = None  # set when a constraint hook ran
 
     def __post_init__(self):
         if self.n_samples != self.n_stable + self.n_marginal + self.n_unstable:
@@ -120,10 +121,6 @@ def _fir_entry(rng, order: int) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def _grid_norm(Xm: TransferMatrix) -> float:
-    return hinf_peak(Xm)[0]
-
-
 def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, float]:
     row_blocks, col_blocks = _partition_of(shape)
     row_labels = {label for label, _ in row_blocks}
@@ -152,7 +149,7 @@ def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, flo
     fill = rng.uniform(0.0, 1.0)
     if raw.is_zero():
         return raw, 0.0
-    base = _grid_norm(raw)
+    base = hinf_peak(raw)[0]
     scale = Fraction(fill * spec.radius / base).limit_denominator(_SCALE_GRID)
     scaled = raw.scale(RationalFunction(scale))
     return scaled.with_blocks(row_blocks, col_blocks), float(scale) * base
@@ -177,7 +174,7 @@ def _checker_context(nominal, checker: str):
         if not isinstance(nominal, RealizationSystem):
             raise TypeError("lemma2-direct expects a RealizationSystem")
         return ((nominal.partition, nominal.partition), None,
-                ("lemma2", stability_matrix(nominal)))
+                ("lemma2", (stability_matrix(nominal), nominal.R)))
     if checker in ("cor3", "cor9"):
         if not isinstance(nominal, IopQuadruple):
             raise TypeError(f"{checker} expects an IopQuadruple")
@@ -193,13 +190,13 @@ def _checker_context(nominal, checker: str):
     raise ValueError(f"unknown checker {checker!r}; expected one of {CHECKERS}")
 
 
-def _evaluate_sample(payload, delta: TransferMatrix) -> StabilityVerdict:
+def _evaluate_sample(payload, delta: TransferMatrix,
+                     hook=None) -> tuple[StabilityVerdict, bool]:
+    """Verdict of one sample, and whether it violates the constraint hook."""
     kind, obj = payload
     try:
-        if kind == "lemma2":
-            return stability_verdict(perturbed_stability(obj, delta))
         if kind == "iop":
-            return iop_robust_check(obj, delta)
+            return iop_robust_check(obj, delta), False
         if kind == "slsof":
             maps: SlsOutputFeedback = obj
             ss = maps.ss
@@ -207,14 +204,26 @@ def _evaluate_sample(payload, delta: TransferMatrix) -> StabilityVerdict:
             dB = delta.block("x", "u")
             dC = delta.block("y", "x")
             dD = delta.block("y", "u")
-            return sls_of_robust_check(ss, maps, dA, dB, dC, dD)[1]
-        raise ValueError(kind)
+            return sls_of_robust_check(ss, maps, dA, dB, dC, dD)[1], False
+        S_hat, R = obj  # lemma2
+        S_delta = perturbed_stability(S_hat, delta)
+        verdict = stability_verdict(S_delta)
     except (SingularPerturbedLoop, SingularMatrix):
-        return StabilityVerdict(UNSTABLE, ((complex(float("inf"), 0.0), float("inf")),))
+        unstable = StabilityVerdict(UNSTABLE, ((complex(float("inf"), 0.0), float("inf")),))
+        return unstable, hook is not None
+    return verdict, hook is not None and not hook(R + delta, S_delta)
 
 
-def _run_sample(args) -> tuple[int, str, tuple, float]:
-    payload, spec, shape, index = args
+_worker_context = None  # a pool worker's (payload, spec, shape, hook), set once
+
+
+def _init_worker(*context) -> None:
+    global _worker_context
+    _worker_context = context
+
+
+def _run_sample(index: int, context=None) -> tuple[int, str, tuple, float, bool]:
+    payload, spec, shape, hook = context or _worker_context
     if index == 0:
         rows = sum(s for _, s in shape[0])
         cols = sum(s for _, s in shape[1])
@@ -222,8 +231,8 @@ def _run_sample(args) -> tuple[int, str, tuple, float]:
         norm = 0.0
     else:
         delta, norm = _sample_with_norm(replace(spec, seed=spec.seed + index), shape)
-    verdict = _evaluate_sample(payload, delta)
-    return index, verdict.status, verdict.witnesses, norm
+    verdict, violated = _evaluate_sample(payload, delta, hook)
+    return index, verdict.status, verdict.witnesses, norm, violated
 
 
 def default_jobs() -> int:
@@ -236,7 +245,7 @@ def default_jobs() -> int:
 
 
 def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
-                        n_jobs: int | None = None) -> Certificate:
+                        n_jobs: int | None = None, constraint=None) -> Certificate:
     """Empirically check a robustness condition over n sampled perturbations.
 
     nominal is a RealizationSystem (lemma2-direct), an IopQuadruple (cor3,
@@ -245,22 +254,32 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
     are recorded as unstable, not raised. When the checker has an analytic
     margin, any non-stable sample strictly below it raises
     SoundnessViolation, which would indicate a bug in this package.
+
+    constraint (lemma2-direct only) is a predicate called once per sample
+    as constraint(R + Delta, S(Delta)); the samples it rejects, plus the
+    singular ones, are counted in sample_stats.constraint_violations. With
+    more than one job the samples run in worker processes, so the
+    predicate must be picklable (an importable module-level function).
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if constraint is not None and checker != "lemma2-direct":
+        raise ValueError("a constraint hook needs the lemma2-direct checker")
     shape, margin, payload = _checker_context(nominal, checker)
     jobs = default_jobs() if n_jobs is None else max(1, n_jobs)
-    tasks = [(payload, spec, shape, i) for i in range(n)]
+    context = (payload, spec, shape, constraint)
     if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_sample, tasks, chunksize=max(1, n // (jobs * 4))))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=context) as pool:
+            results = list(pool.map(_run_sample, range(n),
+                                    chunksize=max(1, n // (jobs * 4))))
     else:
-        results = [_run_sample(t) for t in tasks]
+        results = [_run_sample(i, context) for i in range(n)]
 
     counts = {STABLE: 0, MARGINAL: 0, UNSTABLE: 0}
     worst: dict[str, tuple[float, int, tuple]] = {}
     max_norm = 0.0
-    for index, status, witnesses, norm in results:
+    for index, status, witnesses, norm, _ in results:
         bucket = status if status in counts else UNSTABLE
         counts[bucket] += 1
         max_norm = max(max_norm, norm)
@@ -281,7 +300,9 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
         verdict = StabilityVerdict(status, witnesses)
     stats = SampleStats(n_samples=n, n_stable=counts[STABLE],
                         n_marginal=counts[MARGINAL], n_unstable=counts[UNSTABLE],
-                        worst_sample_norm=worst_norm)
+                        worst_sample_norm=worst_norm,
+                        constraint_violations=None if constraint is None else
+                        sum(r[4] for r in results))
     return Certificate(kind="monte-carlo", margin=margin, verdict=verdict,
                        condition_ref=checker, sample_stats=stats, seed=spec.seed)
 

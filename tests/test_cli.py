@@ -1,9 +1,15 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
+from realstab import cli, uncertainty
 from realstab.cli import main
+from realstab.errors import SingularPerturbedLoop
 from realstab.fileio import (
     SystemDocument,
+    build_realization,
     doc_iop,
     doc_sls_of,
     doc_youla,
@@ -15,8 +21,9 @@ from realstab.fileio import (
 )
 from realstab.iop import iop_verify
 from realstab.matrix import StateSpace, TransferMatrix
-from realstab.realization import AdditivePerturbation
+from realstab.realization import AdditivePerturbation, perturbed_stability, stability_matrix
 from realstab.sls import sls_of_verify
+from realstab.uncertainty import UncertaintySpec, sample_delta
 
 from conftest import HALF, Z, rf
 
@@ -318,6 +325,95 @@ def test_sample_lemma2_direct_with_constraint_hook(tmp_path):
         sys.path.remove(str(tmp_path))
     assert code == 0
     assert load_report(report)["result"]["constraint_violations"] == 0
+
+
+DC_HOOK = "dc_gain_hook:dc_gain_at_most_2"
+
+
+def write_dc_gain_hook(tmp_path, monkeypatch):
+    """Importable hook that rejects a sample when |S(Delta)[0, 0]| at z = 1 exceeds 2."""
+    (tmp_path / "dc_gain_hook.py").write_text(
+        "def dc_gain_at_most_2(r, s):\n"
+        "    return abs(s.evaluate(1.0)[0, 0]) <= 2.0\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    import dc_gain_hook
+    return dc_gain_hook.dc_gain_at_most_2
+
+
+def lemma2_sample_argv(system, n, *extra):
+    return ["sample", str(system), "--radius", "0.2", "--n", str(n), "--seed", "0",
+            "--condition", "lemma2-direct", "--constraint", DC_HOOK, *extra]
+
+
+def test_sample_constraint_draws_and_solves_each_sample_once(tmp_path, monkeypatch):
+    write_dc_gain_hook(tmp_path, monkeypatch)
+    monkeypatch.setenv("REALSTAB_THREADS", "1")  # count calls in this process
+    system = write_fig4(tmp_path)
+    calls = {"draw": 0, "solve": 0}
+    draw, solve = uncertainty._sample_with_norm, uncertainty.perturbed_stability
+
+    def counted_draw(*args, **kwargs):
+        calls["draw"] += 1
+        return draw(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "_sample_with_norm", counted_draw)
+    # The CLI's own binding too, so S(Delta) solved outside the certifier is counted.
+    monkeypatch.setattr(uncertainty, "perturbed_stability", counted_solve)
+    monkeypatch.setattr(cli, "perturbed_stability", counted_solve)
+    n = 6
+    assert main(lemma2_sample_argv(system, n)) == 0
+    assert calls == {"draw": n - 1, "solve": n}  # sample 0 is the zero perturbation
+
+
+def test_sample_constraint_count_matches_two_pass_reference(tmp_path, monkeypatch):
+    hook = write_dc_gain_hook(tmp_path, monkeypatch)
+    system = write_fig4(tmp_path)
+    report = tmp_path / "sample.json"
+    n = 30
+    assert main(lemma2_sample_argv(system, n, "--report", str(report))) == 0
+    reported = load_report(report)["result"]["constraint_violations"]
+
+    # Reference: draw every sample again and solve S(Delta) on its own.
+    realization = build_realization(load_system(system))
+    S_hat = stability_matrix(realization)
+    part = realization.partition
+    spec = UncertaintySpec(block_mask={(a, b) for a, _ in part for b, _ in part},
+                           radius=0.2, sample_order=1, seed=0)
+    expected = 0
+    for i in range(n):
+        if i == 0:
+            delta = TransferMatrix.zeros(2, 2, part, part)
+        else:
+            delta = sample_delta(replace(spec, seed=i), (part, part))
+        try:
+            s_d = perturbed_stability(S_hat, delta)
+        except SingularPerturbedLoop:
+            expected += 1
+            continue
+        expected += not hook(realization.R + delta, s_d)
+    assert 0 < expected < n  # the hook tells samples apart
+    assert reported == expected
+
+
+@pytest.mark.parametrize("condition, constraint", [
+    ("cor3", DC_HOOK),
+    ("lemma2-direct", "realstab.matrix:_missing"),
+])
+def test_sample_constraint_usage_checked_before_sampling(tmp_path, monkeypatch,
+                                                         condition, constraint):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the usage checks")
+
+    monkeypatch.setattr(cli, "monte_carlo_certify", no_sampling)
+    system = write_fig4(tmp_path)
+    out = tmp_path / "with_iop.json"
+    assert main(["synthesize", str(system), "--family", "iop", "--out", str(out)]) == 0
+    assert main(["sample", str(out), "--radius", "0.2", "--n", "5",
+                 "--condition", condition, "--constraint", constraint]) == 64
 
 
 def test_freqresp_csv(tmp_path):

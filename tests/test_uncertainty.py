@@ -7,7 +7,7 @@ from realstab.analysis import hinf_norm, stability_verdict
 from realstab.errors import DimensionMismatch, EmptyMask, InfiniteMargin, NotStable
 from realstab.iop import iop_from_loop, iop_margin
 from realstab.matrix import StateSpace, TransferMatrix
-from realstab.realization import raw_realization
+from realstab.realization import build_plant_controller, raw_realization
 from realstab.sls import sls_of_from_controller, sls_of_margin
 from realstab.uncertainty import (
     UncertaintySpec,
@@ -98,6 +98,8 @@ def test_unknown_checker_rejected():
         monte_carlo_certify(quad, spec, 2, "cor99")
     with pytest.raises(ValueError):
         monte_carlo_certify(quad, spec, 0, "cor3")
+    with pytest.raises(ValueError):  # constraint hooks are lemma2-direct only
+        monte_carlo_certify(quad, spec, 2, "cor3", constraint=dc_gain_at_most_2)
 
 
 def test_soundness_cor3_below_margin():
@@ -161,12 +163,29 @@ def test_lemma2_direct_checker():
     assert cert.condition_ref == "lemma2-direct"
 
 
+def dc_gain_at_most_2(R_delta, S_delta):
+    """Constraint hook; module-level so worker processes can load it."""
+    return abs(S_delta.evaluate(1.0)[0, 0]) <= 2.0
+
+
 def test_parallel_evaluation_matches_sequential():
     quad = scalar_quad()
     spec = UncertaintySpec(block_mask={("y", "u")}, radius=0.9, sample_order=1, seed=7)
     seq = monte_carlo_certify(quad, spec, 40, "cor3", n_jobs=1)
     par = monte_carlo_certify(quad, spec, 40, "cor3", n_jobs=2)
     assert seq == par
+
+    loop = build_plant_controller(TransferMatrix(1, 1, [rf(1, Z)]),
+                                  TransferMatrix(1, 1, [rf(HALF)]))
+    spec = UncertaintySpec(block_mask={(a, b) for a, _ in loop.partition
+                                       for b, _ in loop.partition},
+                           radius=0.2, sample_order=1, seed=7)
+    seq = monte_carlo_certify(loop, spec, 40, "lemma2-direct", n_jobs=1,
+                              constraint=dc_gain_at_most_2)
+    par = monte_carlo_certify(loop, spec, 40, "lemma2-direct", n_jobs=2,
+                              constraint=dc_gain_at_most_2)
+    assert seq == par  # certificate and constraint_violations alike
+    assert 0 < seq.sample_stats.constraint_violations < 40
 
 
 def test_worst_case_scalar_fixture():
