@@ -8,26 +8,27 @@ Conventions: a matrix is stable when every entry is proper and every pole
 has modulus below 1 (tolerance STABILITY_TOL, with an explicit "marginal"
 verdict for poles in the boundary band instead of a coin flip). The peak
 gain is the supremum over z = exp(i*omega), omega in [0, pi], estimated on
-a 4096-point grid and sharpened by golden-section refinement around the
-grid maximum. The grid value is a lower bound that refinement only
-increases; relative accuracy 1e-6 is the documented target, not a
-guarantee for pathological peaks.
+a 4096-point grid and sharpened by zooming: the bracket around the maximum
+is re-gridded with ZOOM_POINTS points until it is narrower than 1e-13. One
+evaluator per matrix serves the grid, the zoom and freq_response. The grid
+value is a lower bound that refinement only increases; relative accuracy
+1e-6 is the documented target, not a guarantee for pathological peaks.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStable, PoleOnGrid
+from .errors import NotStabilizing, NotStable, PoleOnGrid
 from .matrix import TransferMatrix
 from .ratfun import RationalFunction
 
 STABILITY_TOL = 1e-9
 HINF_GRID = 4096
+ZOOM_POINTS = 65
 POLE_GRID_TOL = 1e-12
 
 STABLE = "stable"
@@ -72,15 +73,21 @@ def _as_matrix(x) -> TransferMatrix:
     raise TypeError(f"expected a transfer matrix or rational function, got {type(x).__name__}")
 
 
+def roots_of(poly_like) -> list[complex]:
+    """Roots of a Polynomial (or numerator of a RationalFunction), with multiplicity."""
+    if isinstance(poly_like, RationalFunction):
+        poly_like = poly_like.num
+    if poly_like.is_constant:
+        return []
+    if poly_like.is_monomial:
+        return [0j] * poly_like.degree  # c*z^k, exact
+    roots = np.roots(poly_like.float_coeffs_desc())
+    return sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
+
+
 def poles(f: RationalFunction) -> list[complex]:
     """Denominator roots via companion-matrix eigenvalues, with multiplicity."""
-    den = f.den
-    if den.is_constant:
-        return []
-    if den.is_monomial:
-        return [0j] * den.degree  # monic monomial z^k, exact
-    roots = np.roots(den.float_coeffs_desc())
-    return sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
+    return roots_of(f.den)
 
 
 def matrix_poles(Xm) -> list[complex]:
@@ -92,7 +99,7 @@ def matrix_poles(Xm) -> list[complex]:
     return sorted(out, key=lambda c: (c.real, c.imag))
 
 
-def stability_verdict(Xm, tol: float = STABILITY_TOL) -> StabilityVerdict:
+def stability_verdict(Xm) -> StabilityVerdict:
     """Classify a transfer matrix as stable/marginal/unstable/improper."""
     Xm = _as_matrix(Xm)
     improper = tuple(
@@ -101,6 +108,7 @@ def stability_verdict(Xm, tol: float = STABILITY_TOL) -> StabilityVerdict:
     )
     if improper:
         return StabilityVerdict(IMPROPER, improper)
+    tol = STABILITY_TOL
     all_poles = matrix_poles(Xm)
     outside = [(p, abs(p)) for p in all_poles if abs(p) > 1 + tol]
     if outside:
@@ -114,83 +122,74 @@ def stability_verdict(Xm, tol: float = STABILITY_TOL) -> StabilityVerdict:
     return StabilityVerdict(STABLE)
 
 
+def check_schur(name: str, X) -> None:
+    """Raise NotStabilizing unless the constant matrix X has every eigenvalue
+    of modulus below 1 - STABILITY_TOL."""
+    eigs = np.linalg.eigvals(np.array([[float(v) for v in row] for row in X], dtype=float))
+    if eigs.size and np.max(np.abs(eigs)) >= 1 - STABILITY_TOL:
+        raise NotStabilizing(f"{name} leaves an eigenvalue on or outside the unit circle")
+
+
 # -- gain evaluation on the unit circle -------------------------------------
 
-
-def _entry_coeffs(Xm: TransferMatrix):
-    return [(e.num.float_coeffs_desc(), e.den.float_coeffs_desc()) for e in Xm.entries]
-
-
-def _values_on_circle(Xm: TransferMatrix, omegas: np.ndarray) -> np.ndarray:
-    """Array of shape (len(omegas), rows, cols) of entry values at exp(i*omega)."""
-    zs = np.exp(1j * omegas)
-    vals = np.empty((len(omegas), Xm.rows, Xm.cols), dtype=complex)
-    coeffs = _entry_coeffs(Xm)
-    for idx, (num, den) in enumerate(coeffs):
-        i, j = divmod(idx, Xm.cols)
-        vals[:, i, j] = np.polyval(num, zs) / np.polyval(den, zs)
-    return vals
+_GRID = np.linspace(0.0, math.pi, HINF_GRID)
+_GRID_Z = np.exp(1j * _GRID)
+_ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
 
 
-def _sigma_max(vals: np.ndarray) -> np.ndarray:
-    """Largest singular value per stacked matrix, with closed forms for tiny shapes."""
-    _, r, c = vals.shape
-    if r == 1 or c == 1:
-        return np.sqrt(np.sum(np.abs(vals) ** 2, axis=(1, 2)))
-    if min(r, c) == 2:
-        if c <= r:
-            gram = np.conj(np.swapaxes(vals, 1, 2)) @ vals
-        else:
-            gram = vals @ np.conj(np.swapaxes(vals, 1, 2))
-        a = gram[:, 0, 0].real
-        d = gram[:, 1, 1].real
-        b = gram[:, 0, 1]
-        half = 0.5 * (a - d)
-        lam = 0.5 * (a + d) + np.sqrt(half * half + np.abs(b) ** 2)
-        return np.sqrt(np.maximum(lam, 0.0))
-    return np.linalg.svd(vals, compute_uv=False)[:, 0]
-
-
-def _horner(coeffs_desc: list[float], x: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs_desc:
-        acc = acc * x + c
+def _on_circle(coeffs_desc: list[float], zs: np.ndarray) -> np.ndarray:
+    """Horner's rule on an array of points, in np.polyval's operation order."""
+    acc = np.full(zs.shape, coeffs_desc[0], dtype=complex)
+    for c in coeffs_desc[1:]:
+        acc *= zs
+        acc += c
     return acc
 
 
-class _PointGain:
-    """Scalar-frequency gain evaluator; plain-Python Horner keeps the
-    golden-section refinement cheap enough for sampling loops."""
+def _sigma_max(v: list[np.ndarray], r: int, c: int) -> np.ndarray:
+    """Largest singular value per point of r x c matrices with r or c at most
+    2, in closed form from one array of values per entry in row-major order."""
+    if r == 1 or c == 1:
+        return np.sqrt(sum(np.abs(x) ** 2 for x in v))
+    # Gram matrix [[a, b], [b*, d]] of the two columns (or rows) x and y.
+    pairs = list(zip(v[0::2], v[1::2]) if c == 2 else zip(v[:c], v[c:]))
+    a = sum(x.real ** 2 + x.imag ** 2 for x, _ in pairs)
+    d = sum(y.real ** 2 + y.imag ** 2 for _, y in pairs)
+    b = sum(np.conj(x) * y for x, y in pairs)
+    half = 0.5 * (a - d)
+    lam = 0.5 * (a + d) + np.sqrt(half * half + np.abs(b) ** 2)
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+class _GainEvaluator:
+    """Entry values and largest singular value of one matrix at an array of
+    points on the unit circle; the float coefficients are converted once."""
 
     def __init__(self, Xm: TransferMatrix):
-        self.rows = Xm.rows
-        self.cols = Xm.cols
-        self.coeffs = _entry_coeffs(Xm)
+        self.rows, self.cols = Xm.rows, Xm.cols
+        self.coeffs = [(e.num.float_coeffs_desc(), e.den.float_coeffs_desc())
+                       for e in Xm.entries]
 
-    def __call__(self, omega: float) -> float:
-        x = cmath.exp(1j * omega)
-        vals = [_horner(num, x) / _horner(den, x) for num, den in self.coeffs]
-        r, c = self.rows, self.cols
-        if r == 1 or c == 1:
-            return math.sqrt(sum(abs(v) ** 2 for v in vals))
-        if min(r, c) == 2:
-            m = [[vals[i * c + j] for j in range(c)] for i in range(r)]
-            if c <= r:
-                a = sum(abs(m[k][0]) ** 2 for k in range(r))
-                d = sum(abs(m[k][1]) ** 2 for k in range(r))
-                b = sum(m[k][0].conjugate() * m[k][1] for k in range(r))
-            else:
-                a = sum(abs(m[0][k]) ** 2 for k in range(c))
-                d = sum(abs(m[1][k]) ** 2 for k in range(c))
-                b = sum(m[0][k] * m[1][k].conjugate() for k in range(c))
-            half = 0.5 * (a - d)
-            lam = 0.5 * (a + d) + math.sqrt(half * half + abs(b) ** 2)
-            return math.sqrt(max(lam, 0.0))
-        arr = np.array(vals, dtype=complex).reshape(r, c)
-        return float(np.linalg.svd(arr, compute_uv=False)[0])
+    def values(self, zs: np.ndarray):
+        """Entry values at the points zs, one array per entry in row-major order."""
+        for num, den in self.coeffs:
+            yield _on_circle(num, zs) / _on_circle(den, zs)
+
+    def matrices(self, zs: np.ndarray) -> np.ndarray:
+        """The values at the points zs as one (points, rows, cols) array."""
+        out = np.empty((len(zs), self.rows * self.cols), dtype=complex)
+        for k, x in enumerate(self.values(zs)):
+            out[:, k] = x
+        return out.reshape(len(zs), self.rows, self.cols)
+
+    def __call__(self, zs: np.ndarray) -> np.ndarray:
+        """Largest singular value per point; stacked SVD beyond two wide."""
+        if min(self.rows, self.cols) > 2:
+            return np.linalg.svd(self.matrices(zs), compute_uv=False)[:, 0]
+        return _sigma_max(list(self.values(zs)), self.rows, self.cols)
 
 
-def hinf_peak(Xm, grid: int = HINF_GRID) -> tuple[float, float]:
+def hinf_peak(Xm) -> tuple[float, float]:
     """(peak gain, peak frequency) of a stable transfer matrix.
 
     Raises NotStable when the stability precondition fails; the peak gain
@@ -200,42 +199,28 @@ def hinf_peak(Xm, grid: int = HINF_GRID) -> tuple[float, float]:
     verdict = stability_verdict(Xm)
     if not verdict.is_stable:
         raise NotStable(f"peak gain undefined: matrix is {verdict.status}")
-    omegas = np.linspace(0.0, math.pi, grid)
-    sig = _sigma_max(_values_on_circle(Xm, omegas))
+    gain = _GainEvaluator(Xm)
+    omegas = _GRID
+    sig = gain(_GRID_Z)
     k = int(np.argmax(sig))
-    best_val = float(sig[k])
-    best_om = float(omegas[k])
-    lo = float(omegas[k - 1]) if k > 0 else float(omegas[0])
-    hi = float(omegas[k + 1]) if k < grid - 1 else float(omegas[-1])
-    # Golden-section refinement; only strict improvements move the estimate,
-    # so the grid value stays a lower bound.
-    gain_at = _PointGain(Xm)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = gain_at(x1)
-    f2 = gain_at(x2)
-    for _ in range(64):
-        if b - a < 1e-13:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = gain_at(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = gain_at(x1)
-    for om, val in ((x1, f1), (x2, f2)):
-        if val > best_val:
-            best_val, best_om = val, om
-    return best_val, best_om
+    best_val, best_om = float(sig[k]), float(omegas[k])
+    # Re-grid the neighbours of each maximum; only strict improvements move
+    # the estimate, so the grid value stays a lower bound.
+    while True:
+        lo = float(omegas[max(k - 1, 0)])
+        hi = float(omegas[min(k + 1, len(omegas) - 1)])
+        if hi - lo < 1e-13:
+            return best_val, best_om
+        omegas = lo + (hi - lo) * _ZOOM_STEPS
+        sig = gain(np.exp(1j * omegas))
+        k = int(np.argmax(sig))
+        if sig[k] > best_val:
+            best_val, best_om = float(sig[k]), float(omegas[k])
 
 
-def hinf_norm(Xm, grid: int = HINF_GRID) -> float:
+def hinf_norm(Xm) -> float:
     """Peak gain over the unit circle (largest singular value)."""
-    return hinf_peak(Xm, grid)[0]
+    return hinf_peak(Xm)[0]
 
 
 def freq_response(Xm, n_points: int) -> list[tuple[float, list[float]]]:
@@ -248,22 +233,10 @@ def freq_response(Xm, n_points: int) -> list[tuple[float, list[float]]]:
         raise ValueError("need at least two frequency points")
     omegas = np.linspace(0.0, math.pi, n_points)
     zs = np.exp(1j * omegas)
-    all_poles = matrix_poles(Xm)
-    for p in all_poles:
+    for p in matrix_poles(Xm):
         dists = np.abs(zs - p)
         k = int(np.argmin(dists))
         if dists[k] < POLE_GRID_TOL:
             raise PoleOnGrid(float(omegas[k]))
-    vals = _values_on_circle(Xm, omegas)
-    svals = np.linalg.svd(vals, compute_uv=False)
+    svals = np.linalg.svd(_GainEvaluator(Xm).matrices(zs), compute_uv=False)
     return [(float(om), [float(s) for s in row]) for om, row in zip(omegas, svals)]
-
-
-def roots_of(poly_like) -> list[complex]:
-    """Roots of a Polynomial (or numerator of a RationalFunction)."""
-    if isinstance(poly_like, RationalFunction):
-        poly_like = poly_like.num
-    if poly_like.is_constant:
-        return []
-    roots = np.roots(poly_like.float_coeffs_desc())
-    return sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import StabilityVerdict, hinf_norm, stability_verdict
-from .errors import DimensionMismatch, NotStable
+from .errors import DimensionMismatch, NotStable, SingularMatrix, SingularPerturbedLoop
 from .matrix import TransferMatrix, block_matrix
 from .realization import build_plant_controller, stability_matrix
 
@@ -79,11 +79,16 @@ def iop_robust_check(U_hat: TransferMatrix, delta_G: TransferMatrix) -> Stabilit
     """Verdict of (I - Delta_G U)^-1, the perturbed-plant stability test.
 
     The perturbation must be stable (the margin statement quantifies over
-    bounded stable perturbations only).
+    bounded stable perturbations only). Raises SingularPerturbedLoop when
+    I - Delta_G U is singular.
     """
     v = stability_verdict(delta_G)
     if not v.is_stable:
         raise NotStable(f"plant perturbation is {v.status}")
     prod = delta_G * U_hat
     eye = TransferMatrix.identity(prod.rows)
-    return stability_verdict((eye - prod).inverse())
+    try:
+        loop = (eye - prod).inverse()
+    except SingularMatrix as exc:
+        raise SingularPerturbedLoop("I - Delta_G*U is singular") from exc
+    return stability_verdict(loop)

@@ -343,10 +343,6 @@ def fm_eye(n: int) -> FractionMatrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def fm_zeros(rows: int, cols: int) -> FractionMatrix:
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-
-
 def fm_add(x: FractionMatrix, y: FractionMatrix) -> FractionMatrix:
     if fm_shape(x) != fm_shape(y):
         raise DimensionMismatch("matrix addition shape mismatch")
@@ -362,19 +358,6 @@ def fm_mul(x: FractionMatrix, y: FractionMatrix) -> FractionMatrix:
         tuple(sum((x[i][k] * y[k][j] for k in range(cx)), Fraction(0)) for j in range(cy))
         for i in range(rx)
     )
-
-
-def fm_neg(x: FractionMatrix) -> FractionMatrix:
-    return tuple(tuple(-a for a in row) for row in x)
-
-
-def fm_to_float(x: FractionMatrix) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in x], dtype=float)
-
-
-def spectral_radius(x: FractionMatrix) -> float:
-    eigs = np.linalg.eigvals(fm_to_float(x))
-    return float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
 
 class StateSpace:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import StabilityVerdict, hinf_norm, stability_verdict
+from .analysis import StabilityVerdict, check_schur, hinf_norm, stability_verdict
 from .errors import (
     DimensionMismatch,
     NotStable,
@@ -20,8 +20,7 @@ from .errors import (
     SingularMatrix,
     SingularPerturbedLoop,
 )
-from .matrix import (StateSpace, TransferMatrix, block_matrix, fm, fm_add, fm_mul,
-                     fm_shape, spectral_radius)
+from .matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_add, fm_mul, fm_shape
 from .realization import AdditivePerturbation, build_output_feedback, stability_matrix
 
 
@@ -81,8 +80,7 @@ def sls_sf_from_gain(ss: StateSpace, K) -> SlsStateFeedback:
     if fm_shape(K) != (ss.m, ss.n):
         raise DimensionMismatch(f"gain must be {ss.m}x{ss.n}")
     a_cl = fm_add(ss.A, fm_mul(ss.B, K))
-    if spectral_radius(a_cl) >= 1 - 1e-9:
-        raise NotStabilizing("A + B*K leaves an eigenvalue on or outside the unit circle")
+    check_schur("A + B*K", a_cl)
     phi_x = StateSpace(a_cl, ss.B, ss.C, ss.D).resolvent()
     phi_u = TransferMatrix.constant(K) * phi_x
     defect = sls_sf_defect(ss, phi_x, phi_u)

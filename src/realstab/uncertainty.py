@@ -32,7 +32,6 @@ from .errors import (
     EmptyMask,
     InfiniteMargin,
     NotStable,
-    SingularMatrix,
     SingularPerturbedLoop,
     SoundnessViolation,
 )
@@ -208,7 +207,7 @@ def _evaluate_sample(payload, delta: TransferMatrix,
         S_hat, R = obj  # lemma2
         S_delta = perturbed_stability(S_hat, delta)
         verdict = stability_verdict(S_delta)
-    except (SingularPerturbedLoop, SingularMatrix):
+    except SingularPerturbedLoop:
         unstable = StabilityVerdict(UNSTABLE, ((complex(float("inf"), 0.0), float("inf")),))
         return unstable, hook is not None
     return verdict, hook is not None and not hook(R + delta, S_delta)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import STABILITY_TOL, StabilityVerdict, stability_verdict
+from .analysis import StabilityVerdict, check_schur, stability_verdict
 from .errors import (
     DimensionMismatch,
     IdentityCheckFailed,
@@ -20,6 +20,7 @@ from .errors import (
     NotStabilizing,
     SingularFactor,
     SingularMatrix,
+    SingularPerturbedLoop,
 )
 from .matrix import (
     StateSpace,
@@ -30,7 +31,6 @@ from .matrix import (
     fm_eye,
     fm_mul,
     fm_shape,
-    spectral_radius,
 )
 
 
@@ -80,11 +80,6 @@ class YoulaPair:
     Q: TransferMatrix
 
 
-def _check_schur(name: str, X) -> None:
-    if spectral_radius(X) >= 1 - STABILITY_TOL:
-        raise NotStabilizing(f"{name} leaves an eigenvalue on or outside the unit circle")
-
-
 def coprime_from_gains(ss: StateSpace, F, L) -> CoprimeFactorization:
     """Doubly coprime factorization from stabilizing gains.
 
@@ -102,8 +97,8 @@ def coprime_from_gains(ss: StateSpace, F, L) -> CoprimeFactorization:
         raise DimensionMismatch(f"observer gain must be {n}x{p}")
     a_f = fm_add(ss.A, fm_mul(ss.B, F))
     a_l = fm_add(ss.A, fm_mul(L, ss.C))
-    _check_schur("A + B*F", a_f)
-    _check_schur("A + L*C", a_l)
+    check_schur("A + B*F", a_f)
+    check_schur("A + L*C", a_l)
 
     res_f = StateSpace(a_f, ss.B, ss.C, ss.D).resolvent()
     res_l = StateSpace(a_l, ss.B, ss.C, ss.D).resolvent()
@@ -164,7 +159,8 @@ def youla_robust_check(Q: TransferMatrix, P_delta: TransferMatrix) -> StabilityV
     """Verdict of (I - Q P)^-1 for a perturbed dual parameter.
 
     Both operands must themselves be stable; the check is only meaningful
-    on the stable parameter class.
+    on the stable parameter class. Raises SingularPerturbedLoop when
+    I - Q P is singular.
     """
     for name, X in (("Q", Q), ("P", P_delta)):
         v = stability_verdict(X)
@@ -172,7 +168,11 @@ def youla_robust_check(Q: TransferMatrix, P_delta: TransferMatrix) -> StabilityV
             raise NotStable(f"{name} is {v.status}")
     prod = Q * P_delta
     eye = TransferMatrix.identity(prod.rows)
-    return stability_verdict((eye - prod).inverse())
+    try:
+        loop = (eye - prod).inverse()
+    except SingularMatrix as exc:
+        raise SingularPerturbedLoop("I - Q*P is singular") from exc
+    return stability_verdict(loop)
 
 
 # -- deadbeat gain helpers (single input / single measurement) --------------

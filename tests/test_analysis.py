@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from realstab.analysis import (
+    _sigma_max,
     freq_response,
     hinf_norm,
     hinf_peak,
@@ -16,6 +17,13 @@ from realstab.errors import NotStable, PoleOnGrid
 from realstab.matrix import TransferMatrix
 
 from conftest import HALF, Z, random_proper, rf
+
+
+def _stable_entry(rng):
+    while True:
+        f = random_proper(rng)
+        if stability_verdict(f).is_stable:
+            return f
 
 
 def test_poles_linear_factor():
@@ -97,6 +105,47 @@ def test_hinf_upper_bounds_grid(rng):
         norm = hinf_norm(X)
         sweep = freq_response(X, 257)
         assert norm >= max(s[0] for _, s in sweep) - 1e-12
+    for rows, cols in ((2, 2), (2, 3), (3, 3)):
+        for _ in range(5):
+            X = TransferMatrix(rows, cols, [_stable_entry(rng) for _ in range(rows * cols)])
+            norm = hinf_norm(X)
+            sweep = freq_response(X, 257)
+            assert norm >= max(s[0] for _, s in sweep) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("rows, cols", sorted({(w, n) for n in range(1, 5) for w in (1, 2)}
+                                              | {(n, w) for n in range(1, 5) for w in (1, 2)}))
+def test_sigma_max_closed_forms_match_svd(rows, cols):
+    gen = np.random.default_rng(100 * rows + cols)
+    vals = gen.normal(size=(64, rows, cols)) + 1j * gen.normal(size=(64, rows, cols))
+    vals[0] = 0.0
+    want = np.linalg.svd(vals, compute_uv=False)[:, 0]
+    got = _sigma_max([vals[:, i, j] for i in range(rows) for j in range(cols)], rows, cols)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1e-300))
+
+
+def test_hinf_peak_of_rotated_resonance():
+    # Q diag(1/(z^2 + 81/100), 1/2) Q^T with Q a rotation keeps the singular
+    # values, so the peak is 1/0.19 at omega = pi/2, between grid points.
+    q = TransferMatrix.from_rows([[rf(Fraction(3, 5)), rf(Fraction(4, 5))],
+                                  [rf(Fraction(-4, 5)), rf(Fraction(3, 5))]])
+    qt = TransferMatrix.from_rows([[q[0, 0], q[1, 0]], [q[0, 1], q[1, 1]]])
+    d = TransferMatrix.from_rows([[rf(1, Z * Z + Fraction(81, 100)), rf(0)],
+                                  [rf(0), rf(HALF)]])
+    value, omega = hinf_peak(q * d * qt)
+    assert abs(value - 1.0 / 0.19) < 1e-9
+    assert abs(omega - math.pi / 2) < 1e-6
+
+
+def test_hinf_peak_refines_sharp_resonance():
+    # Poles at modulus 0.99 make a peak about 0.01 wide at an angle off the
+    # grid; the reference maximizes np.polyval values on a 1e-8 grid.
+    den = Z * Z - Z + Fraction(9801, 10000)
+    value, omega = hinf_peak(TransferMatrix(1, 1, [rf(1, den)]))
+    coeffs = den.float_coeffs_desc()
+    near = np.linspace(omega - 1e-3, omega + 1e-3, 200001)
+    ref = np.max(1.0 / np.abs(np.polyval(coeffs, np.exp(1j * near))))
+    assert abs(value - ref) <= 1e-9 * ref
 
 
 def test_freq_response_constant():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from realstab.analysis import stability_verdict
-from realstab.errors import DimensionMismatch, NotStable, SingularMatrix
+from realstab.errors import DimensionMismatch, NotStable, SingularMatrix, SingularPerturbedLoop
 from realstab.iop import (
     IopQuadruple,
     iop_controller,
@@ -114,6 +114,12 @@ def test_robust_check_boundary_witness():
     assert v.status == "marginal"
     (pole, _), = v.witnesses
     assert abs(pole - 1.0) < 1e-9
+
+
+def test_robust_check_singular_loop():
+    eye = TransferMatrix.identity(2)
+    with pytest.raises(SingularPerturbedLoop):
+        iop_robust_check(eye, eye)
 
 
 def test_robust_check_interior():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from realstab.analysis import stability_verdict
-from realstab.errors import NotStable, NotStabilizing, SingularFactor
+from realstab.errors import NotStable, NotStabilizing, SingularFactor, SingularPerturbedLoop
 from realstab.matrix import StateSpace, TransferMatrix, fm_add, fm_mul
 from realstab.realization import build_plant_controller, stability_matrix
 from realstab.youla import (
@@ -129,6 +129,12 @@ def test_robust_check_requires_stable_operands():
         youla_robust_check(unstable, stable)
     with pytest.raises(NotStable):
         youla_robust_check(stable, unstable)
+
+
+def test_robust_check_singular_loop():
+    eye = TransferMatrix.identity(2)
+    with pytest.raises(SingularPerturbedLoop):
+        youla_robust_check(eye, eye)
 
 
 def test_deadbeat_gain_helpers_scalar():
