@@ -122,6 +122,13 @@ def stability_verdict(Xm) -> StabilityVerdict:
     return StabilityVerdict(STABLE)
 
 
+def require_stable(Xm, what: str) -> None:
+    """Raise NotStable(f"{what} is {status}") unless Xm is stable."""
+    verdict = stability_verdict(Xm)
+    if not verdict.is_stable:
+        raise NotStable(f"{what} is {verdict.status}")
+
+
 def check_schur(name: str, X) -> None:
     """Raise NotStabilizing unless the constant matrix X has every eigenvalue
     of modulus below 1 - STABILITY_TOL."""
@@ -196,9 +203,7 @@ def hinf_peak(Xm) -> tuple[float, float]:
     is undefined off the stable class.
     """
     Xm = _as_matrix(Xm)
-    verdict = stability_verdict(Xm)
-    if not verdict.is_stable:
-        raise NotStable(f"peak gain undefined: matrix is {verdict.status}")
+    require_stable(Xm, "peak gain undefined: matrix")
     gain = _GainEvaluator(Xm)
     omegas = _GRID
     sig = gain(_GRID_Z)
@@ -221,6 +226,18 @@ def hinf_peak(Xm) -> tuple[float, float]:
 def hinf_norm(Xm) -> float:
     """Peak gain over the unit circle (largest singular value)."""
     return hinf_peak(Xm)[0]
+
+
+def small_gain_margin(Xm) -> float:
+    """Small-gain margin 1 / ||Xm||, infinite for the zero map.
+
+    Stable perturbations Delta of peak gain strictly below it keep
+    (I - Delta Xm)^-1 stable.
+    """
+    Xm = _as_matrix(Xm)
+    if Xm.is_zero():
+        return math.inf
+    return 1.0 / hinf_norm(Xm)
 
 
 def freq_response(Xm, n_points: int) -> list[tuple[float, list[float]]]:

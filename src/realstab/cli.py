@@ -58,6 +58,7 @@ from .iop import iop_from_loop, iop_margin, iop_verify
 from .realization import perturbed_stability, stability_matrix
 from .sls import sls_of_from_controller, sls_of_margin, sls_of_verify, sls_sf_from_gain
 from .uncertainty import (
+    CHECKERS,
     Certificate,
     UncertaintySpec,
     monte_carlo_certify,
@@ -389,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--order", type=int, default=1, help="FIR order of sampled blocks")
-    p.add_argument("--condition", choices=("lemma2-direct", "cor3", "cor7", "cor9"),
-                   required=True)
+    p.add_argument("--condition", choices=CHECKERS, required=True)
     p.add_argument("--blocks", help="comma list row:col of blocks to perturb")
     p.add_argument("--constraint",
                    help="module:function predicate on (R_delta, S_delta); "

@@ -132,6 +132,8 @@ def tm_to_json(tm: TransferMatrix) -> dict:
 def parse_fm(obj):
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("real matrix must be a non-empty nested list")
+    if not obj[0] or any(len(r) != len(obj[0]) for r in obj):
+        raise SchemaError("real matrix rows are empty or ragged")
     return tuple(tuple(parse_rational(v) for v in row) for row in obj)
 
 

@@ -9,13 +9,12 @@ loop's stability matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .analysis import StabilityVerdict, hinf_norm, stability_verdict
-from .errors import DimensionMismatch, NotStable, SingularMatrix, SingularPerturbedLoop
+from .analysis import StabilityVerdict, require_stable, small_gain_margin, stability_verdict
+from .errors import DimensionMismatch
 from .matrix import TransferMatrix, block_matrix
-from .realization import build_plant_controller, stability_matrix
+from .realization import build_plant_controller, perturbed_loop, stability_matrix
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,7 @@ def iop_margin(quad: IopQuadruple) -> float:
     value cannot destabilize the loop; U identically zero gives an
     infinite margin.
     """
-    if quad.U.is_zero():
-        return math.inf
-    return 1.0 / hinf_norm(quad.U)
+    return small_gain_margin(quad.U)
 
 
 def iop_robust_check(U_hat: TransferMatrix, delta_G: TransferMatrix) -> StabilityVerdict:
@@ -82,13 +79,5 @@ def iop_robust_check(U_hat: TransferMatrix, delta_G: TransferMatrix) -> Stabilit
     bounded stable perturbations only). Raises SingularPerturbedLoop when
     I - Delta_G U is singular.
     """
-    v = stability_verdict(delta_G)
-    if not v.is_stable:
-        raise NotStable(f"plant perturbation is {v.status}")
-    prod = delta_G * U_hat
-    eye = TransferMatrix.identity(prod.rows)
-    try:
-        loop = (eye - prod).inverse()
-    except SingularMatrix as exc:
-        raise SingularPerturbedLoop("I - Delta_G*U is singular") from exc
-    return stability_verdict(loop)
+    require_stable(delta_G, "plant perturbation")
+    return stability_verdict(perturbed_loop(delta_G * U_hat, "I - Delta_G*U"))

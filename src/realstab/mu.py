@@ -14,10 +14,11 @@ from .analysis import (
     STABILITY_TOL,
     UNSTABLE,
     StabilityVerdict,
+    require_stable,
     roots_of,
     stability_verdict,
 )
-from .errors import DimensionMismatch, NotStable
+from .errors import DimensionMismatch
 from .matrix import TransferMatrix
 from .ratfun import RationalFunction
 from .realization import Transformation
@@ -26,9 +27,7 @@ from .realization import Transformation
 def mu_m_matrix(S_hat: TransferMatrix, T: Transformation,
                 F_z: TransferMatrix) -> TransferMatrix:
     """M = F_z * S_hat * T; S_hat must be stable for M to be an analysis matrix."""
-    v = stability_verdict(S_hat)
-    if not v.is_stable:
-        raise NotStable(f"nominal stability matrix is {v.status}")
+    require_stable(S_hat, "nominal stability matrix")
     Tm = T.T
     if F_z.cols != S_hat.rows or S_hat.cols != Tm.rows:
         raise DimensionMismatch("output map, stability matrix, and transformation do not chain")
@@ -39,7 +38,8 @@ def mu_destab_test(M: TransferMatrix, delta: TransferMatrix
                    ) -> tuple[RationalFunction, StabilityVerdict]:
     """Destabilization witness test for a candidate perturbation.
 
-    Returns (det(I - M Delta), verdict of M (I - M Delta)^-1). Zeros of the
+    Returns (det(I - M Delta), verdict of the closed-loop map
+    (I - M Delta)^-1 M = M (I - Delta M)^-1). Zeros of the
     determinant with modulus at least 1 - tol are destabilizing witnesses
     and force an unstable verdict; an identically zero determinant is
     reported as unstable with an unbounded witness rather than raised.
@@ -51,12 +51,7 @@ def mu_destab_test(M: TransferMatrix, delta: TransferMatrix
     if det_fn.is_zero:
         witness = (complex(float("inf"), 0.0), float("inf"))
         return det_fn, StabilityVerdict(UNSTABLE, (witness,))
-    if M.is_square:
-        perturbed = M * loop.inverse()
-    else:
-        # push-through form, defined for rectangular analysis matrices
-        perturbed = loop.inverse() * M
-    verdict = stability_verdict(perturbed)
+    verdict = stability_verdict(loop.inverse() * M)
     witnesses = tuple(
         (r, abs(r)) for r in roots_of(det_fn) if abs(r) >= 1 - STABILITY_TOL
     )

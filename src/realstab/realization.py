@@ -243,6 +243,18 @@ def apply_transformation(sys: RealizationSystem, S: TransferMatrix,
     return sys_eq, s_eq
 
 
+def perturbed_loop(M: TransferMatrix, name: str) -> TransferMatrix:
+    """(I - M)^-1, the loop closed around M; every robust check inverts one.
+
+    Raises SingularPerturbedLoop(f"{name} is singular") when I - M is
+    singular as a rational matrix.
+    """
+    try:
+        return (TransferMatrix.identity(M.rows) - M).inverse()
+    except SingularMatrix as exc:
+        raise SingularPerturbedLoop(f"{name} is singular") from exc
+
+
 def perturbed_stability(S_hat: TransferMatrix, delta,
                         nominal_realization: TransferMatrix | None = None) -> TransferMatrix:
     """Stability matrix after an additive perturbation of the realization.
@@ -256,16 +268,12 @@ def perturbed_stability(S_hat: TransferMatrix, delta,
     if not S_hat.is_square or D.shape != S_hat.shape:
         raise DimensionMismatch(
             f"perturbation {D.shape} does not match the stability matrix {S_hat.shape}")
-    eye = TransferMatrix.identity(S_hat.rows)
-    try:
-        right = S_hat * (eye - D * S_hat).inverse()
-        left = (eye - S_hat * D).inverse() * S_hat
-    except SingularMatrix as exc:
-        raise SingularPerturbedLoop("I - Delta*S is singular as a rational matrix") from exc
+    right = S_hat * perturbed_loop(D * S_hat, "I - Delta*S")
+    left = perturbed_loop(S_hat * D, "I - S*Delta") * S_hat
     if right != left:
         raise IdentityCheckFailed("the two perturbed-stability closed forms disagree")
     if nominal_realization is not None:
-        direct = (eye - nominal_realization - D).inverse()
+        direct = perturbed_loop(nominal_realization + D, "I - R - Delta")
         if direct != right:
             raise IdentityCheckFailed("closed form disagrees with the direct inverse")
     return right.with_blocks(S_hat.row_blocks, S_hat.col_blocks)

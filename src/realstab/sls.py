@@ -9,19 +9,23 @@ satisfy, so approximately synthesized maps can be analyzed as-is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .analysis import StabilityVerdict, check_schur, hinf_norm, stability_verdict
-from .errors import (
-    DimensionMismatch,
-    NotStable,
-    NotStabilizing,
-    SingularMatrix,
-    SingularPerturbedLoop,
+from .analysis import (
+    StabilityVerdict,
+    check_schur,
+    require_stable,
+    small_gain_margin,
+    stability_verdict,
 )
+from .errors import DimensionMismatch, NotStabilizing
 from .matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_add, fm_mul, fm_shape
-from .realization import AdditivePerturbation, build_output_feedback, stability_matrix
+from .realization import (
+    AdditivePerturbation,
+    build_output_feedback,
+    perturbed_loop,
+    stability_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -97,11 +101,7 @@ def sls_sf_robust(ss_true: StateSpace, phi_x: TransferMatrix, phi_u: TransferMat
     responses.
     """
     defect = sls_sf_defect(ss_true, phi_x, phi_u)
-    eye = TransferMatrix.identity(ss_true.n)
-    try:
-        correction = (eye + defect).inverse()
-    except SingularMatrix as exc:
-        raise SingularPerturbedLoop("I + defect is singular") from exc
+    correction = perturbed_loop(-defect, "I + defect")
     responses = block_matrix([[phi_x], [phi_u]]) * correction
     return defect, stability_verdict(responses), responses
 
@@ -191,11 +191,7 @@ def sls_of_perturbed_response(maps: SlsOutputFeedback) -> TransferMatrix:
     nominal identities for the stored plant.
     """
     n, m = maps.ss.n, maps.ss.m
-    eye_n = TransferMatrix.identity(n)
-    try:
-        inv1 = (eye_n + maps.defect1).inverse()
-    except SingularMatrix as exc:
-        raise SingularPerturbedLoop("I + defect1 is singular") from exc
+    inv1 = perturbed_loop(-maps.defect1, "I + defect1")
     transform = block_matrix(
         [[inv1, TransferMatrix.zeros(n, m)],
          [-(maps.defect2 * inv1), TransferMatrix.identity(m)]])
@@ -237,16 +233,9 @@ def sls_of_robust_check(ss: StateSpace, maps: SlsOutputFeedback,
     for name, (X, want) in shapes.items():
         if X.shape != want:
             raise DimensionMismatch(f"{name} must be {want[0]}x{want[1]}")
-        v = stability_verdict(X)
-        if not v.is_stable:
-            raise NotStable(f"{name} is {v.status}")
+        require_stable(X, name)
     delta_blk = block_matrix([[dA, dB], [dC, dD]])
-    prod = delta_blk * maps.block()
-    eye = TransferMatrix.identity(prod.rows)
-    try:
-        psi = (eye - prod).inverse()
-    except SingularMatrix as exc:
-        raise SingularPerturbedLoop("I - Delta*Phi is singular") from exc
+    psi = perturbed_loop(delta_blk * maps.block(), "I - Delta*Phi")
     return psi, stability_verdict(psi)
 
 
@@ -256,7 +245,4 @@ def sls_of_margin(maps: SlsOutputFeedback) -> float:
     Uses the whole-matrix peak gain of the 2x2 response block; structured
     per-block norms are deliberately not implemented.
     """
-    blk = maps.block()
-    if blk.is_zero():
-        return math.inf
-    return 1.0 / hinf_norm(blk)
+    return small_gain_margin(maps.block())

@@ -24,6 +24,7 @@ from .analysis import (
     UNSTABLE,
     StabilityVerdict,
     hinf_peak,
+    require_stable,
     roots_of,
     stability_verdict,
 )
@@ -31,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     EmptyMask,
     InfiniteMargin,
-    NotStable,
     SingularPerturbedLoop,
     SoundnessViolation,
 )
@@ -331,9 +331,7 @@ def worst_case_delta(U_hat: TransferMatrix, epsilon: float) -> TightnessProbe:
     alignment, so the real projection is returned with an inconclusive
     note.
     """
-    v = stability_verdict(U_hat)
-    if not v.is_stable:
-        raise NotStable(f"operand is {v.status}")
+    require_stable(U_hat, "operand")
     if U_hat.is_zero():
         raise InfiniteMargin("zero map has an infinite margin; nothing to probe")
     if not (epsilon > 0 and math.isfinite(epsilon)):

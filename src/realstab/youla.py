@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import StabilityVerdict, check_schur, stability_verdict
+from .analysis import StabilityVerdict, check_schur, require_stable, stability_verdict
 from .errors import (
     DimensionMismatch,
     IdentityCheckFailed,
-    NotStable,
     NotStabilizing,
     SingularFactor,
     SingularMatrix,
-    SingularPerturbedLoop,
 )
 from .matrix import (
     StateSpace,
@@ -32,6 +30,7 @@ from .matrix import (
     fm_mul,
     fm_shape,
 )
+from .realization import perturbed_loop
 
 
 @dataclass(frozen=True)
@@ -162,17 +161,9 @@ def youla_robust_check(Q: TransferMatrix, P_delta: TransferMatrix) -> StabilityV
     on the stable parameter class. Raises SingularPerturbedLoop when
     I - Q P is singular.
     """
-    for name, X in (("Q", Q), ("P", P_delta)):
-        v = stability_verdict(X)
-        if not v.is_stable:
-            raise NotStable(f"{name} is {v.status}")
-    prod = Q * P_delta
-    eye = TransferMatrix.identity(prod.rows)
-    try:
-        loop = (eye - prod).inverse()
-    except SingularMatrix as exc:
-        raise SingularPerturbedLoop("I - Q*P is singular") from exc
-    return stability_verdict(loop)
+    require_stable(Q, "Q")
+    require_stable(P_delta, "P")
+    return stability_verdict(perturbed_loop(Q * P_delta, "I - Q*P"))
 
 
 # -- deadbeat gain helpers (single input / single measurement) --------------

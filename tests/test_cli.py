@@ -96,6 +96,31 @@ def test_dimension_error_exit_65(tmp_path):
     assert main(["analyze", str(path)]) == 65
 
 
+def write_scalar_of(tmp_path, name="of.json"):
+    doc = SystemDocument(kind="output-feedback",
+                         state_space=StateSpace([[HALF]], [[1]], [[1]], [[0]]),
+                         controller=TransferMatrix(1, 1, [rf(-HALF)]))
+    path = tmp_path / name
+    save_system(doc, path)
+    return path
+
+
+@pytest.mark.parametrize("A", [[["1/2", "0"], ["1"]], [[]]])
+def test_ragged_state_space_matrix_exit_64(tmp_path, A):
+    path = write_scalar_of(tmp_path)
+    data = json.loads(path.read_text())
+    data["state_space"]["A"] = A
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path)]) == 64
+
+
+def test_ragged_gain_matrix_exit_64(tmp_path):
+    system = write_scalar_of(tmp_path)
+    assert main(["synthesize", str(system), "--family", "youla",
+                 "--out", str(tmp_path / "out.json"), "--gains",
+                 '{"F": [[1], [2, 3]], "L": [[0]]}']) == 64
+
+
 def test_usage_error_exit_64():
     assert main(["margin"]) == 64
     assert main(["no-such-command"]) == 64

@@ -94,6 +94,18 @@ def test_destab_rectangular_analysis_matrix():
     assert verdict2.status == "unstable"
 
 
+def test_destab_square_uses_closed_loop_map():
+    # (I - M D)^-1 M = [[0, 0], [0, 1/(z - 3/2)]] has one pole at 3/2;
+    # M (I - M D)^-1 would list it twice.
+    M = TransferMatrix.from_rows([[rf(0), rf(0)], [rf(0), rf(1, Z - HALF)]])
+    delta = TransferMatrix.from_rows([[rf(0), rf(0)], [rf(HALF), rf(1)]])
+    det_fn, verdict = mu_destab_test(M, delta)
+    assert det_fn == rf(Z - Fraction(3, 2), Z - HALF)
+    assert verdict.status == "unstable"
+    assert len(verdict.witnesses) == 1
+    assert abs(verdict.witnesses[0][0] - 1.5) < 1e-9
+
+
 def test_determinant_matches_pointwise_evaluation(rng):
     M = TransferMatrix.from_rows([
         [rf(Z, 2 * Z - 1), rf(1, 2 * Z - 1)],

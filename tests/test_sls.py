@@ -1,9 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from realstab.analysis import freq_response, stability_verdict
-from realstab.errors import NotStable, NotStabilizing, SingularMatrix
+from realstab.errors import NotStable, NotStabilizing, SingularMatrix, SingularPerturbedLoop
 from realstab.matrix import StateSpace, TransferMatrix
 from realstab.realization import (
     build_output_feedback,
@@ -180,6 +181,33 @@ def test_robust_check_boundary_case():
     dA = TransferMatrix.identity(1)
     psi, verdict = sls_of_robust_check(ss, maps, dA, zero, zero, zero)
     assert verdict.status != "stable"
+
+
+def _singular_robust_check(ss, maps):
+    zero = TransferMatrix.zeros(1, 1)
+    dD = TransferMatrix(1, 1, [rf(-2 * Z, Z - HALF)])  # 1 - dD*phi_uy == 0
+    return sls_of_robust_check(ss, maps, zero, zero, zero, dD)
+
+
+def _zero_maps_sf_robust(ss, maps):
+    zero = TransferMatrix.zeros(1, 1)
+    return sls_sf_robust(ss, zero, zero)
+
+
+def _zero_maps_response(ss, maps):
+    zero = TransferMatrix.zeros(1, 1)
+    return sls_of_perturbed_response(sls_of_from_blocks(ss, zero, zero, zero, zero))
+
+
+@pytest.mark.parametrize("call, message", [
+    (_singular_robust_check, "I - Delta*Phi is singular"),
+    (_zero_maps_sf_robust, "I + defect is singular"),
+    (_zero_maps_response, "I + defect1 is singular"),
+])
+def test_singular_perturbed_loops(call, message):
+    ss, K, maps = scalar_of()
+    with pytest.raises(SingularPerturbedLoop, match=f"^{re.escape(message)}$"):
+        call(ss, maps)
 
 
 def test_margin_homogeneity():
