@@ -188,12 +188,7 @@ class Polynomial:
             return self._scaled(b[0], other._d)
         if len(a) == 1:
             return other._scaled(a[0], self._d)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
-        return _canon(out, self._d * other._d)
+        return _canon(_int_mul(a, b), self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -309,6 +304,64 @@ def _int_pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
         q.append(top * scale)
         scale *= lb
     return q, r, scale
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials (a zero operand gives [0]).
+
+    A factor [1] returns the other operand itself, so callers treat every
+    int list as immutable.
+    """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        if c == 1:
+            return b
+        return [c * x for x in b] if c else [0]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
+
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b for integer polynomials, stripped."""
+    if len(a) >= len(b):
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] -= c
+    else:
+        out = [-c for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    return _int_strip(out)
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials when b divides a exactly in Z[z].
+
+    b == [1] returns a itself.
+    """
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else [x // c for x in a]
+    if not a[-1]:
+        return a
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    # Only r[db:] decides the quotient; the remainder r[:db] is zero.
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] // lb
+        q[k] = c
+        if c:
+            for j in range(max(0, db - k), db):
+                r[k + j] -= c * b[j]
+    return q
 
 
 def _valuation(p: Polynomial) -> int:

@@ -25,7 +25,7 @@ from .errors import (
     SingularMatrix,
     SingularPerturbedLoop,
 )
-from .matrix import StateSpace, TransferMatrix, block_matrix
+from .matrix import StateSpace, TransferMatrix, block_matrix, product_is_identity
 from .poly import Polynomial
 from .ratfun import RationalFunction
 
@@ -218,8 +218,7 @@ def verify_rs_identity(sys: RealizationSystem, S: TransferMatrix) -> bool:
     loop = sys.loop_matrix()
     if loop.shape != S.shape:
         raise DimensionMismatch("stability matrix shape does not match the realization")
-    eye = TransferMatrix.identity(loop.rows)
-    return loop * S == eye and S * loop == eye
+    return product_is_identity(loop, S) and product_is_identity(S, loop)
 
 
 def apply_transformation(sys: RealizationSystem, S: TransferMatrix,

@@ -29,6 +29,7 @@ from .matrix import (
     fm_eye,
     fm_mul,
     fm_shape,
+    product_is_identity,
 )
 from .realization import perturbed_loop
 
@@ -57,8 +58,7 @@ class CoprimeFactorization:
         return block_matrix([[self.Ur, self.Nr], [self.Vr, self.Mr]])
 
     def identity_holds(self) -> bool:
-        prod = self.left_block() * self.right_block()
-        return prod == TransferMatrix.identity(prod.rows)
+        return product_is_identity(self.left_block(), self.right_block())
 
     def all_stable(self) -> bool:
         return all(stability_verdict(x).is_stable for x in
@@ -66,9 +66,6 @@ class CoprimeFactorization:
 
     def nominal_plant(self) -> TransferMatrix:
         return self.Nr * self.Mr.inverse()
-
-    def nominal_controller(self) -> TransferMatrix:
-        return self.Vr * self.Ur.inverse()
 
 
 @dataclass(frozen=True)
@@ -150,8 +147,13 @@ def pq_loop_matrix(pair: YoulaPair) -> TransferMatrix:
 
 
 def youla_pq_stability(pair: YoulaPair) -> StabilityVerdict:
-    """Verdict of [[I, P], [Q, I]]^-1, the parameter-side internal loop."""
-    return stability_verdict(pq_loop_matrix(pair).inverse())
+    """Verdict of [[I, P], [Q, I]]^-1, the parameter-side internal loop.
+
+    Raises SingularPerturbedLoop when [[I, P], [Q, I]] is singular.
+    """
+    loop = pq_loop_matrix(pair)
+    eye = TransferMatrix.identity(loop.rows)
+    return stability_verdict(perturbed_loop(eye - loop, "[[I, P], [Q, I]]"))
 
 
 def youla_robust_check(Q: TransferMatrix, P_delta: TransferMatrix) -> StabilityVerdict:

@@ -1,0 +1,206 @@
+"""Differential tests of the exact matrix kernel against sympy.
+
+sympy's DomainMatrix over the field QQ(z) is the oracle for the inverse,
+the determinant, the resolvent and the identity-product check; hypothesis
+draws the matrices, with the 2^24 and 2^40 denominators the Monte-Carlo
+sampler produces and improper entries like those of zI - A. Both tools
+are test-only; the module is skipped when either is missing.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.fields import field  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from realstab.errors import SingularMatrix  # noqa: E402
+from realstab.matrix import (  # noqa: E402
+    StateSpace,
+    TransferMatrix,
+    _cleared,
+    product_is_identity,
+)
+from realstab.poly import Polynomial  # noqa: E402
+from realstab.ratfun import RationalFunction  # noqa: E402
+
+K = field("z", sympy.QQ)[0]
+QZ = K.to_domain()
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+Z = Polynomial.z()
+
+denominators = st.sampled_from([1, 2, 3, 7, 2 ** 24, 2 ** 40, 3 * 2 ** 40])
+rationals = st.builds(Fraction, st.integers(-9, 9), denominators)
+
+
+def polys(max_degree):
+    return st.lists(rationals, min_size=1, max_size=max_degree + 1).map(Polynomial)
+
+
+ratfuns = st.one_of(
+    st.just(RationalFunction(0)),
+    rationals.map(RationalFunction),
+    st.builds(RationalFunction, polys(2), polys(2).filter(lambda p: not p.is_zero)),
+    # Improper: a numerator of higher degree than its denominator.
+    st.builds(RationalFunction, polys(3), polys(1).filter(lambda p: not p.is_zero)),
+)
+
+
+@st.composite
+def matrices(draw, max_n=4, zero_corner=False):
+    n = draw(st.integers(1, max_n))
+    entries = draw(st.lists(ratfuns, min_size=n * n, max_size=n * n))
+    if zero_corner:
+        entries[0] = RationalFunction(0)
+    return TransferMatrix(n, n, entries)
+
+
+def fraction_grids(rows, cols):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def state_loops(draw):
+    """I - R of a state-feedback loop, [[zI - A, -B], [-K, I]]."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    A = draw(fraction_grids(n, n))
+    B = draw(fraction_grids(n, m))
+    K_ = draw(st.lists(ratfuns, min_size=m * n, max_size=m * n))
+    ss = StateSpace(A, B, [[0] * n], [[0] * m])
+    top = [list(ss.z_minus_a().row(i)) + [RationalFunction(-b) for b in B[i]]
+           for i in range(n)]
+    bottom = [[-e for e in K_[i * n:(i + 1) * n]]
+              + [RationalFunction(1 if i == j else 0) for j in range(m)] for i in range(m)]
+    return TransferMatrix.from_rows(top + bottom)
+
+
+@st.composite
+def singular_matrices(draw):
+    """One row a rational-function combination of the others."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(ratfuns, min_size=n, max_size=n)) for _ in range(n - 1)]
+    weights = draw(st.lists(ratfuns, min_size=n - 1, max_size=n - 1))
+    dependent = [sum((w * row[j] for w, row in zip(weights, rows)), RationalFunction(0))
+                 for j in range(n)]
+    rows.insert(draw(st.integers(0, n - 1)), dependent)
+    return TransferMatrix.from_rows(rows)
+
+
+def to_k(e: RationalFunction):
+    def poly(p):
+        coeffs = reversed(p.coeffs)
+        return K.ring.from_list([sympy.QQ(c.numerator, c.denominator) for c in coeffs])
+    return K.new(poly(e.num), poly(e.den))
+
+
+def oracle(M: TransferMatrix) -> DomainMatrix:
+    return DomainMatrix([[to_k(M[i, j]) for j in range(M.cols)] for i in range(M.rows)],
+                        M.shape, QZ)
+
+
+def assert_inverse_matches(M: TransferMatrix):
+    dm = oracle(M)
+    det = dm.det()
+    assert to_k(M.determinant()) == det
+    if det == 0:
+        with pytest.raises(SingularMatrix, match="^matrix is singular as a rational matrix$"):
+            M.inverse()
+        return
+    inv = M.inverse()
+    expected = dm.inv().to_list()
+    for i in range(M.rows):
+        for j in range(M.cols):
+            e = inv[i, j]
+            assert e == RationalFunction(e.num, e.den)  # canonical
+            assert to_k(e) == expected[i][j]
+
+
+@SETTINGS
+@given(matrices())
+def test_inverse_and_determinant_match_sympy(M):
+    assert_inverse_matches(M)
+
+
+@SETTINGS
+@given(state_loops())
+def test_improper_loops_match_sympy(M):
+    assert_inverse_matches(M)
+
+
+@SETTINGS
+@given(matrices(zero_corner=True))
+def test_zero_corner_forces_row_swap(M):
+    assert_inverse_matches(M)
+
+
+def test_row_swap_examples():
+    a, b = RationalFunction(Z, Z - Fraction(1, 2)), RationalFunction(3, Z * Z + 1)
+    zero = RationalFunction(0)
+    for M in (TransferMatrix.from_rows([[zero, a], [b, zero]]),
+              TransferMatrix.from_rows([[zero, a, b], [zero, b, a], [a, zero, b]]),
+              TransferMatrix.from_rows([[zero, zero, a], [zero, b, zero], [a, zero, zero]])):
+        assert_inverse_matches(M)
+    # A single exchange flips the sign of the determinant.
+    M = TransferMatrix.from_rows([[zero, a], [b, zero]])
+    assert M.determinant() == -(a * b)
+
+
+@SETTINGS
+@given(singular_matrices())
+def test_singular_matrices(M):
+    assert oracle(M).det() == 0
+    assert M.determinant() == RationalFunction(0)
+    with pytest.raises(SingularMatrix) as info:
+        M.inverse()
+    assert str(info.value) == "matrix is singular as a rational matrix"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: fraction_grids(n, n)))
+def test_resolvent_matches_sympy(A):
+    n = len(A)
+    ss = StateSpace(A, [[1]] * n, [[1] * n], [[0]])
+    res = ss.resolvent()
+    expected = oracle(ss.z_minus_a()).inv().to_list()
+    assert all(to_k(res[i, j]) == expected[i][j] for i in range(n) for j in range(n))
+
+
+@SETTINGS
+@given(st.lists(ratfuns, min_size=1, max_size=6))
+def test_row_clearing_round_trip(row):
+    P, l = _cleared(row)
+    assert len(P) == len(row)
+    assert all(type(c) is int for p in P + [l] for c in p) and l[-1] != 0
+    scale = Polynomial(l)
+    for p, e in zip(P, row):
+        assert RationalFunction(Polynomial(p), scale) == e
+    # l is the lcm of the denominators times an integer.
+    dens = [to_k(RationalFunction(e.den)).numer for e in row if not e.is_zero]
+    lcm = K.ring.one
+    for d in dens:
+        lcm = lcm.lcm(d)
+    assert to_k(RationalFunction(scale)).numer.degree() == lcm.degree()
+
+
+@SETTINGS
+@given(matrices(max_n=3), st.integers(0, 8), rationals.filter(bool))
+def test_product_is_identity_matches_sympy(M, index, bump):
+    try:
+        inv = M.inverse()
+    except SingularMatrix:
+        return
+    assert product_is_identity(M, inv) and product_is_identity(inv, M)
+    ents = list(inv.entries)
+    ents[index % len(ents)] += bump
+    Y = TransferMatrix(M.rows, M.cols, ents)
+    eye = DomainMatrix.eye(M.rows, QZ)
+    assert product_is_identity(M, Y) == (oracle(M) * oracle(Y) == eye)
+    assert product_is_identity(Y, M) == (oracle(Y) * oracle(M) == eye)
+    assert not product_is_identity(M, Y)

@@ -28,7 +28,7 @@ from realstab.realization import (
 )
 from realstab.analysis import stability_verdict
 
-from conftest import HALF, Z, random_proper_tm, rf, tm
+from conftest import HALF, Z, random_proper_tm, random_strictly_proper_tm, rf, tm
 
 
 def scalar_loop():
@@ -154,6 +154,41 @@ def test_verify_rs_identity_detects_mismatch():
     S = stability_matrix(sys)
     assert verify_rs_identity(sys, S)
     assert not verify_rs_identity(sys, S + TransferMatrix.identity(2))
+
+
+def _bump(M, index, amount=1):
+    ents = list(M.entries)
+    ents[index] = ents[index] + amount
+    return TransferMatrix(M.rows, M.cols, ents, M.row_blocks, M.col_blocks)
+
+
+def _random_loops(rng):
+    """One loop of every family, with improper zI - A diagonals and shared dens."""
+    ss = StateSpace([[HALF, 1], [0, Fraction(-1, 3)]], [[1], [2]], [[1, 0]], [[0]])
+    yield build_plant_controller(random_proper_tm(rng, 2, 1), random_proper_tm(rng, 1, 2))
+    yield build_state_feedback(ss, random_proper_tm(rng, 1, 2))
+    yield build_output_feedback(ss, random_proper_tm(rng, 1, 1))
+    yield build_sf_sls(ss, random_strictly_proper_tm(rng, 2, 2),
+                       random_strictly_proper_tm(rng, 1, 2))
+
+
+def test_verify_rs_identity_rejects_one_changed_entry(rng):
+    for sys in _random_loops(rng):
+        S = stability_matrix(sys)
+        assert verify_rs_identity(sys, S)
+        for index in (0, len(S.entries) // 2, len(S.entries) - 1):
+            assert not verify_rs_identity(sys, _bump(S, index))
+        # A change far below the entry's own scale is caught as well.
+        assert not verify_rs_identity(sys, _bump(S, 1, Fraction(1, 2 ** 40)))
+
+
+def test_verify_rs_identity_rejects_another_loops_matrix(rng):
+    loops = list(_random_loops(rng)) + list(_random_loops(rng))
+    for k in range(4):
+        sys, other = loops[k], loops[k + 4]
+        assert sys.R != other.R
+        assert not verify_rs_identity(sys, stability_matrix(other))
+        assert verify_rs_identity(other, stability_matrix(other))
 
 
 def test_offdiagonal_properness_enforced_at_construction():

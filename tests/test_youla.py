@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,33 @@ def test_robust_check_requires_stable_operands():
         youla_robust_check(unstable, stable)
     with pytest.raises(NotStable):
         youla_robust_check(stable, unstable)
+
+
+def test_pq_stability_singular_loop():
+    # [[1, 1], [1, 1]] is singular; like every robust check this is a singular loop.
+    eye = TransferMatrix.identity(1)
+    with pytest.raises(SingularPerturbedLoop, match=r"\[\[I, P\], \[Q, I\]\] is singular"):
+        youla_pq_stability(YoulaPair(P=eye, Q=eye))
+
+
+def test_identity_rejects_perturbed_factors():
+    ss = StateSpace([[HALF, 1], [0, Fraction(-1, 3)]], [[0], [1]], [[1, 1]], [[0]])
+    cf = coprime_from_gains(ss, [[-HALF, 0]], [[0], [0]])
+    other = coprime_from_gains(ss, deadbeat_state_gain(ss), deadbeat_observer_gain(ss))
+    assert cf.identity_holds() and other.identity_holds()
+    for name in ("Ml", "Nl", "Vl", "Ul", "Ur", "Nr", "Vr", "Mr"):
+        X = getattr(cf, name)
+        ents = list(X.entries)
+        ents[-1] = ents[-1] + 1
+        bumped = TransferMatrix(X.rows, X.cols, ents)
+        assert not replace(cf, **{name: bumped}).identity_holds()
+        shift = rf(Fraction(1, 2 ** 40), Z)  # far below the entries' own scale
+        tiny = TransferMatrix(X.rows, X.cols, [e + shift for e in X.entries])
+        assert not replace(cf, **{name: tiny}).identity_holds()
+    # Factors of a different factorization of the same plant.
+    for name in ("Nr", "Mr", "Ur", "Vr"):
+        assert getattr(cf, name) != getattr(other, name)
+        assert not replace(cf, **{name: getattr(other, name)}).identity_holds()
 
 
 def test_robust_check_singular_loop():
