@@ -36,6 +36,7 @@ from .realization import (
     check_offdiagonal_properness,
     perturbed_stability,
     raw_realization,
+    robust_loop,
     stability_matrix,
     verify_rs_identity,
 )
@@ -58,6 +59,7 @@ from .uncertainty import (
     TightnessProbe,
     UncertaintySpec,
     monte_carlo_certify,
+    robust_condition,
     sample_delta,
     worst_case_delta,
 )

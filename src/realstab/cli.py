@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import freq_response, matrix_poles, stability_verdict
+from .analysis import freq_response, matrix_poles, small_gain_margin, stability_verdict
 from .errors import (
     DimensionMismatch,
     EmptyMask,
@@ -54,25 +54,20 @@ from .fileio import (
     verdict_to_json,
     num_to_json,
 )
-from .iop import iop_from_loop, iop_margin, iop_verify
+from .iop import iop_from_loop, iop_verify
 from .realization import perturbed_stability, stability_matrix
-from .sls import sls_of_from_controller, sls_of_margin, sls_of_verify, sls_sf_from_gain
+from .sls import sls_of_from_controller, sls_of_verify, sls_sf_from_gain
 from .uncertainty import (
     CHECKERS,
     Certificate,
     UncertaintySpec,
     monte_carlo_certify,
+    robust_condition,
     worst_case_delta,
 )
 from .youla import coprime_from_gains, observer_controller
 
 _VERDICT_EXIT = {"stable": 0, "marginal": 2, "unstable": 3, "improper": 3}
-
-_CONDITION_MASKS = {
-    "cor3": {("y", "u")},
-    "cor9": {("y", "u")},
-    "cor7": {("x", "x"), ("x", "u"), ("y", "x"), ("y", "u")},
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,17 +149,12 @@ def _verified_section(doc: SystemDocument, condition: str):
     return maps
 
 
-def _margin_operand(doc: SystemDocument, condition: str):
-    section = _verified_section(doc, condition)
-    if condition == "cor3":
-        return section.U, iop_margin(section), "small-gain-IOP"
-    return section.block(), sls_of_margin(section), "small-gain-SLS-OF"
-
-
 def cmd_margin(args) -> int:
     started = time.perf_counter()
     doc = load_system(args.system)
-    operand, epsilon, kind = _margin_operand(doc, args.condition)
+    operand = robust_condition(_verified_section(doc, args.condition), args.condition)[2]
+    epsilon = small_gain_margin(operand)
+    kind = "small-gain-IOP" if args.condition == "cor3" else "small-gain-SLS-OF"
     norm = 0.0 if math.isinf(epsilon) else 1.0 / epsilon
     verdict = stability_verdict(operand)
     cert = Certificate(kind=kind, margin=epsilon, verdict=verdict,
@@ -234,10 +224,11 @@ def cmd_sample(args) -> int:
         mask.add((a.strip(), b.strip()))
     if args.condition == "lemma2-direct":
         nominal = build_realization(doc)
-        mask = mask or {(a, b) for a, _ in nominal.partition for b, _ in nominal.partition}
+        rows = cols = nominal.partition
     else:
         nominal = _verified_section(doc, args.condition)
-        mask = mask or _CONDITION_MASKS[args.condition]
+        rows, cols, _ = robust_condition(nominal, args.condition)
+    mask = mask or {(a, b) for a, _ in rows for b, _ in cols}
     spec = UncertaintySpec(block_mask=frozenset(mask), radius=args.radius,
                            sample_order=args.order, seed=args.seed)
     cert = monte_carlo_certify(nominal, spec, args.n, args.condition, constraint=hook)

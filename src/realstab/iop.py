@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import StabilityVerdict, require_stable, small_gain_margin, stability_verdict
+from .analysis import StabilityVerdict, small_gain_margin, stability_verdict
 from .errors import DimensionMismatch
 from .matrix import TransferMatrix, block_matrix
-from .realization import build_plant_controller, perturbed_loop, stability_matrix
+from .realization import build_plant_controller, robust_loop, stability_matrix
 
 
 @dataclass(frozen=True)
@@ -79,5 +79,4 @@ def iop_robust_check(U_hat: TransferMatrix, delta_G: TransferMatrix) -> Stabilit
     bounded stable perturbations only). Raises SingularPerturbedLoop when
     I - Delta_G U is singular.
     """
-    require_stable(delta_G, "plant perturbation")
-    return stability_verdict(perturbed_loop(delta_G * U_hat, "I - Delta_G*U"))
+    return robust_loop(U_hat, delta_G, "I - Delta_G*U", "plant perturbation")[1]

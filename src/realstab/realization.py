@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .analysis import StabilityVerdict, require_stable, stability_verdict
 from .errors import (
     DimensionMismatch,
     IdentityCheckFailed,
@@ -46,6 +47,7 @@ class RealizationSystem:
     """A square, block-partitioned realization matrix with named signals."""
 
     R: TransferMatrix
+    _loop: TransferMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R = self.R
@@ -68,9 +70,11 @@ class RealizationSystem:
         return self.R.row_blocks
 
     def loop_matrix(self) -> TransferMatrix:
-        """I - R, the matrix whose inverse is the stability matrix."""
-        eye = TransferMatrix.identity(self.R.rows, self.R.row_blocks, self.R.col_blocks)
-        return eye - self.R
+        """I - R, the matrix whose inverse is the stability matrix; formed once."""
+        if self._loop is None:
+            eye = TransferMatrix.identity(self.R.rows, self.R.row_blocks, self.R.col_blocks)
+            object.__setattr__(self, "_loop", eye - self.R)
+        return self._loop
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,14 @@ def _delta_matrix(delta) -> TransferMatrix:
 # -- builders for the four supported loop families --------------------------
 
 
+def _from_loop_matrix(loop: TransferMatrix) -> RealizationSystem:
+    """The system whose I - R is loop, which it keeps as its loop matrix."""
+    eye = TransferMatrix.identity(loop.rows, loop.row_blocks, loop.col_blocks)
+    system = RealizationSystem(eye - loop)
+    object.__setattr__(system, "_loop", loop)
+    return system
+
+
 def build_plant_controller(G: TransferMatrix, K: TransferMatrix) -> RealizationSystem:
     """Two-signal loop y = G u + d_y, u = K y + d_u, so R = [[0, G], [K, 0]]."""
     if G.rows != K.cols or G.cols != K.rows:
@@ -146,12 +158,10 @@ def build_state_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSystem
     if K.shape != (m, n):
         raise DimensionMismatch(f"gain map must be {m}x{n}, got {K.shape}")
     blocks = (("x", n), ("u", m))
-    eye_nm = TransferMatrix.identity(n + m)
-    i_minus_r = block_matrix(
+    return _from_loop_matrix(block_matrix(
         [[ss.z_minus_a(), -TransferMatrix.constant(ss.B)],
          [-K, TransferMatrix.identity(m)]],
-        blocks, blocks)
-    return RealizationSystem((eye_nm.with_blocks(blocks, blocks) - i_minus_r))
+        blocks, blocks))
 
 
 def build_sf_sls(ss: StateSpace, phi_x: TransferMatrix,
@@ -172,13 +182,11 @@ def build_sf_sls(ss: StateSpace, phi_x: TransferMatrix,
     if not (z_phi_x.is_proper() and z_phi_u.is_proper()):
         raise NotStrictlyProper("response maps must be strictly proper")
     blocks = (("x", n), ("u", m), ("delta", n))
-    i_minus_r = block_matrix(
+    return _from_loop_matrix(block_matrix(
         [[ss.z_minus_a(), -TransferMatrix.constant(ss.B), TransferMatrix.zeros(n, n)],
          [TransferMatrix.zeros(m, n), TransferMatrix.identity(m), -z_phi_u],
          [-TransferMatrix.identity(n), TransferMatrix.zeros(n, m), z_phi_x]],
-        blocks, blocks)
-    eye = TransferMatrix.identity(2 * n + m, blocks, blocks)
-    return RealizationSystem(eye - i_minus_r)
+        blocks, blocks))
 
 
 def build_output_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSystem:
@@ -187,14 +195,12 @@ def build_output_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSyste
     if K.shape != (m, p):
         raise DimensionMismatch(f"controller must be {m}x{p}, got {K.shape}")
     blocks = (("x", n), ("u", m), ("y", p))
-    i_minus_r = block_matrix(
+    return _from_loop_matrix(block_matrix(
         [[ss.z_minus_a(), -TransferMatrix.constant(ss.B), TransferMatrix.zeros(n, p)],
          [TransferMatrix.zeros(m, n), TransferMatrix.identity(m), -K],
          [-TransferMatrix.constant(ss.C), -TransferMatrix.constant(ss.D),
           TransferMatrix.identity(p)]],
-        blocks, blocks)
-    eye = TransferMatrix.identity(n + m + p, blocks, blocks)
-    return RealizationSystem(eye - i_minus_r)
+        blocks, blocks))
 
 
 def raw_realization(R: TransferMatrix) -> RealizationSystem:
@@ -233,9 +239,7 @@ def apply_transformation(sys: RealizationSystem, S: TransferMatrix,
     if Tm.rows != sys.R.rows:
         raise DimensionMismatch("transformation size does not match the realization")
     blocks = sys.partition
-    eye = TransferMatrix.identity(sys.R.rows, blocks, blocks)
-    r_eq = eye - (Tm.inverse() * sys.loop_matrix()).with_blocks(blocks, blocks)
-    sys_eq = RealizationSystem(r_eq)
+    sys_eq = _from_loop_matrix((Tm.inverse() * sys.loop_matrix()).with_blocks(blocks, blocks))
     s_eq = S * Tm
     if not verify_rs_identity(sys_eq, s_eq):
         raise IdentityCheckFailed("transformed pair lost the realization identity")
@@ -252,6 +256,19 @@ def perturbed_loop(M: TransferMatrix, name: str) -> TransferMatrix:
         return (TransferMatrix.identity(M.rows) - M).inverse()
     except SingularMatrix as exc:
         raise SingularPerturbedLoop(f"{name} is singular") from exc
+
+
+def robust_loop(X: TransferMatrix, delta: TransferMatrix, name: str,
+                what: str) -> tuple[TransferMatrix, StabilityVerdict]:
+    """(Psi, verdict) with Psi = (I - Delta X)^-1, the loop of every robust corollary.
+
+    X = S_{gamma,rho} is the block of S that Delta, on rows rho and columns
+    gamma, closes around. Raises NotStable(f"{what} is ...") unless Delta is
+    stable, and perturbed_loop's SingularPerturbedLoop(f"{name} is singular").
+    """
+    require_stable(delta, what)
+    psi = perturbed_loop(delta * X, name)
+    return psi, stability_verdict(psi)
 
 
 def perturbed_stability(S_hat: TransferMatrix, delta,

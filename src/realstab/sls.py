@@ -11,19 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (
-    StabilityVerdict,
-    check_schur,
-    require_stable,
-    small_gain_margin,
-    stability_verdict,
-)
+from .analysis import StabilityVerdict, check_schur, small_gain_margin, stability_verdict
 from .errors import DimensionMismatch, NotStabilizing
 from .matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_add, fm_mul, fm_shape
 from .realization import (
     AdditivePerturbation,
     build_output_feedback,
     perturbed_loop,
+    robust_loop,
     stability_matrix,
 )
 
@@ -224,8 +219,8 @@ def sls_of_robust_check(ss: StateSpace, maps: SlsOutputFeedback,
 
     Returns (Psi, verdict) with Psi = (I - [[dA, dB], [dC, dD]] Phi)^-1;
     the nominal controller keeps the perturbed loop internally stable
-    exactly when Psi is stable. All four perturbation blocks must be
-    stable.
+    exactly when Psi is stable. The perturbation Delta = [[dA, dB], [dC, dD]]
+    must be stable.
     """
     n, m, p = ss.n, ss.m, ss.p
     shapes = {"dA": (dA, (n, n)), "dB": (dB, (n, m)),
@@ -233,10 +228,8 @@ def sls_of_robust_check(ss: StateSpace, maps: SlsOutputFeedback,
     for name, (X, want) in shapes.items():
         if X.shape != want:
             raise DimensionMismatch(f"{name} must be {want[0]}x{want[1]}")
-        require_stable(X, name)
-    delta_blk = block_matrix([[dA, dB], [dC, dD]])
-    psi = perturbed_loop(delta_blk * maps.block(), "I - Delta*Phi")
-    return psi, stability_verdict(psi)
+    delta = block_matrix([[dA, dB], [dC, dD]])
+    return robust_loop(maps.block(), delta, "I - Delta*Phi", "Delta")
 
 
 def sls_of_margin(maps: SlsOutputFeedback) -> float:

@@ -26,6 +26,7 @@ from .analysis import (
     hinf_peak,
     require_stable,
     roots_of,
+    small_gain_margin,
     stability_verdict,
 )
 from .errors import (
@@ -35,12 +36,12 @@ from .errors import (
     SingularPerturbedLoop,
     SoundnessViolation,
 )
-from .iop import IopQuadruple, iop_margin, iop_robust_check
+from .iop import IopQuadruple
 from .matrix import TransferMatrix
 from .poly import Polynomial
 from .ratfun import RationalFunction
-from .realization import RealizationSystem, perturbed_stability, stability_matrix
-from .sls import SlsOutputFeedback, sls_of_margin, sls_of_robust_check
+from .realization import RealizationSystem, perturbed_stability, robust_loop, stability_matrix
+from .sls import SlsOutputFeedback
 
 CHECKERS = ("lemma2-direct", "cor3", "cor7", "cor9")
 
@@ -120,15 +121,18 @@ def _fir_entry(rng, order: int) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, float]:
-    row_blocks, col_blocks = _partition_of(shape)
-    row_labels = {label for label, _ in row_blocks}
-    col_labels = {label for label, _ in col_blocks}
-    if not spec.block_mask:
+def _check_mask(block_mask: frozenset, shape) -> None:
+    """Raise EmptyMask or DimensionMismatch unless the mask selects blocks of shape."""
+    row_labels, col_labels = map(dict, _partition_of(shape))
+    if not block_mask:
         raise EmptyMask("uncertainty mask selects no blocks")
-    for a, b in spec.block_mask:
+    for a, b in block_mask:
         if a not in row_labels or b not in col_labels:
             raise DimensionMismatch(f"mask block ({a}, {b}) not in the partition")
+
+
+def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, float]:
+    row_blocks, col_blocks = _partition_of(shape)
     rows = sum(s for _, s in row_blocks)
     cols = sum(s for _, s in col_blocks)
     rng = np.random.default_rng(spec.seed)
@@ -161,50 +165,40 @@ def sample_delta(spec: UncertaintySpec, shape) -> TransferMatrix:
     then the whole matrix is rescaled to a peak gain of u * radius with u
     uniform on (0, 1). Deterministic given (spec, shape).
     """
+    _check_mask(spec.block_mask, shape)
     return _sample_with_norm(spec, shape)[0]
 
 
-# -- Monte-Carlo certification ----------------------------------------------
+# -- the corollary conditions and Monte-Carlo certification -----------------
 
 
-def _checker_context(nominal, checker: str):
-    """Returns (shape, margin, payload) for the per-sample evaluator."""
-    if checker == "lemma2-direct":
-        if not isinstance(nominal, RealizationSystem):
-            raise TypeError("lemma2-direct expects a RealizationSystem")
-        return ((nominal.partition, nominal.partition), None,
-                ("lemma2", (stability_matrix(nominal), nominal.R)))
-    if checker in ("cor3", "cor9"):
+def robust_condition(nominal, condition: str) -> tuple[tuple, tuple, TransferMatrix]:
+    """(Delta row blocks, Delta column blocks, X) of a corollary condition.
+
+    Every corollary is robust_loop's (I - Delta X)^-1 with margin 1 / ||X||:
+    cor3 and cor9 put Delta on (y; u) of an IopQuadruple around X = U, cor7
+    and cor8 on (x, y; x, u) of an SlsOutputFeedback around X = Phi.
+    """
+    if condition in ("cor3", "cor9"):
         if not isinstance(nominal, IopQuadruple):
-            raise TypeError(f"{checker} expects an IopQuadruple")
+            raise TypeError(f"{condition} expects an IopQuadruple")
         p, m = nominal.G.shape
-        shape = ((("y", p),), (("u", m),))
-        return shape, iop_margin(nominal), ("iop", nominal.U)
-    if checker == "cor7":
+        return (("y", p),), (("u", m),), nominal.U
+    if condition in ("cor7", "cor8"):
         if not isinstance(nominal, SlsOutputFeedback):
-            raise TypeError("cor7 expects an SlsOutputFeedback")
+            raise TypeError(f"{condition} expects an SlsOutputFeedback")
         ss = nominal.ss
-        shape = ((("x", ss.n), ("y", ss.p)), (("x", ss.n), ("u", ss.m)))
-        return shape, sls_of_margin(nominal), ("slsof", nominal)
-    raise ValueError(f"unknown checker {checker!r}; expected one of {CHECKERS}")
+        return (("x", ss.n), ("y", ss.p)), (("x", ss.n), ("u", ss.m)), nominal.block()
+    raise ValueError(f"unknown condition {condition!r}")
 
 
 def _evaluate_sample(payload, delta: TransferMatrix,
                      hook=None) -> tuple[StabilityVerdict, bool]:
-    """Verdict of one sample, and whether it violates the constraint hook."""
-    kind, obj = payload
+    """Verdict of one sample (payload: X, or lemma2's (S_hat, R)) and its hook violation."""
     try:
-        if kind == "iop":
-            return iop_robust_check(obj, delta), False
-        if kind == "slsof":
-            maps: SlsOutputFeedback = obj
-            ss = maps.ss
-            dA = delta.block("x", "x")
-            dB = delta.block("x", "u")
-            dC = delta.block("y", "x")
-            dD = delta.block("y", "u")
-            return sls_of_robust_check(ss, maps, dA, dB, dC, dD)[1], False
-        S_hat, R = obj  # lemma2
+        if isinstance(payload, TransferMatrix):
+            return robust_loop(payload, delta, "I - Delta*X", "Delta")[1], False
+        S_hat, R = payload
         S_delta = perturbed_stability(S_hat, delta)
         verdict = stability_verdict(S_delta)
     except SingularPerturbedLoop:
@@ -224,10 +218,8 @@ def _init_worker(*context) -> None:
 def _run_sample(index: int, context=None) -> tuple[int, str, tuple, float, bool]:
     payload, spec, shape, hook = context or _worker_context
     if index == 0:
-        rows = sum(s for _, s in shape[0])
-        cols = sum(s for _, s in shape[1])
-        delta = TransferMatrix.zeros(rows, cols, shape[0], shape[1])
-        norm = 0.0
+        rows, cols = (sum(s for _, s in blocks) for blocks in shape)
+        delta, norm = TransferMatrix.zeros(rows, cols, *shape), 0.0
     else:
         delta, norm = _sample_with_norm(replace(spec, seed=spec.seed + index), shape)
     verdict, violated = _evaluate_sample(payload, delta, hook)
@@ -248,11 +240,12 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
     """Empirically check a robustness condition over n sampled perturbations.
 
     nominal is a RealizationSystem (lemma2-direct), an IopQuadruple (cor3,
-    cor9), or an SlsOutputFeedback (cor7). Sample i is drawn from
-    seed + i; sample 0 is the zero perturbation. Per-sample singularities
-    are recorded as unstable, not raised. When the checker has an analytic
-    margin, any non-stable sample strictly below it raises
-    SoundnessViolation, which would indicate a bug in this package.
+    cor9), or an SlsOutputFeedback (cor7). The mask is checked against the
+    condition's Delta shape before any sample (EmptyMask, DimensionMismatch).
+    Sample i is drawn from seed + i; sample 0 is the zero perturbation.
+    Per-sample singularities are recorded as unstable, not raised. When the
+    checker has an analytic margin, any non-stable sample strictly below it
+    raises SoundnessViolation, which would indicate a bug in this package.
 
     constraint (lemma2-direct only) is a predicate called once per sample
     as constraint(R + Delta, S(Delta)); the samples it rejects, plus the
@@ -262,9 +255,19 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if checker not in CHECKERS:
+        raise ValueError(f"unknown checker {checker!r}; expected one of {CHECKERS}")
     if constraint is not None and checker != "lemma2-direct":
         raise ValueError("a constraint hook needs the lemma2-direct checker")
-    shape, margin, payload = _checker_context(nominal, checker)
+    if checker == "lemma2-direct":
+        if not isinstance(nominal, RealizationSystem):
+            raise TypeError("lemma2-direct expects a RealizationSystem")
+        shape, margin = (nominal.partition, nominal.partition), None
+        payload = (stability_matrix(nominal), nominal.R)
+    else:
+        rows, cols, payload = robust_condition(nominal, checker)
+        shape, margin = (rows, cols), small_gain_margin(payload)
+    _check_mask(spec.block_mask, shape)
     jobs = default_jobs() if n_jobs is None else max(1, n_jobs)
     context = (payload, spec, shape, constraint)
     if jobs > 1 and n > 1:
@@ -350,7 +353,7 @@ def worst_case_delta(U_hat: TransferMatrix, epsilon: float) -> TightnessProbe:
     else:
         align = align.real
     delta = TransferMatrix.constant(
-        [[_quantize_exact(epsilon * align[i, j]) for j in range(align.shape[1])]
+        [[Fraction(float(epsilon * align[i, j])) for j in range(align.shape[1])]
          for i in range(align.shape[0])])
     loop = TransferMatrix.identity(delta.rows) - delta * U_hat
     det_fn = loop.determinant()
@@ -376,7 +379,3 @@ def worst_case_delta(U_hat: TransferMatrix, epsilon: float) -> TightnessProbe:
     return TightnessProbe(delta=delta, peak_gain=peak, peak_omega=omega,
                           witness_root=witness, boundary_distance=distance,
                           conclusive=conclusive, note=note)
-
-
-def _quantize_exact(x: float) -> Fraction:
-    return Fraction(float(x))

@@ -31,7 +31,7 @@ from .matrix import (
     fm_shape,
     product_is_identity,
 )
-from .realization import perturbed_loop
+from .realization import perturbed_loop, robust_loop
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,12 @@ def youla_pq_stability(pair: YoulaPair) -> StabilityVerdict:
 def youla_robust_check(Q: TransferMatrix, P_delta: TransferMatrix) -> StabilityVerdict:
     """Verdict of (I - Q P)^-1 for a perturbed dual parameter.
 
-    Both operands must themselves be stable; the check is only meaningful
-    on the stable parameter class. Raises SingularPerturbedLoop when
-    I - Q P is singular.
+    Both operands must themselves be stable (P is checked first); the check
+    is only meaningful on the stable parameter class. Raises
+    SingularPerturbedLoop when I - Q P is singular.
     """
-    require_stable(Q, "Q")
     require_stable(P_delta, "P")
-    return stability_verdict(perturbed_loop(Q * P_delta, "I - Q*P"))
+    return robust_loop(P_delta, Q, "I - Q*P", "Q")[1]
 
 
 # -- deadbeat gain helpers (single input / single measurement) --------------

@@ -19,10 +19,10 @@ from realstab.fileio import (
     perturbation_to_json,
     save_system,
 )
-from realstab.iop import iop_verify
+from realstab.iop import iop_margin, iop_verify
 from realstab.matrix import StateSpace, TransferMatrix
 from realstab.realization import AdditivePerturbation, perturbed_stability, stability_matrix
-from realstab.sls import sls_of_verify
+from realstab.sls import sls_of_margin, sls_of_verify
 from realstab.uncertainty import UncertaintySpec, sample_delta
 
 from conftest import HALF, Z, rf
@@ -289,6 +289,52 @@ def test_margin_cor8_after_sls_of_synthesis(tmp_path):
     assert abs(data["result"]["epsilon"] - sls_of_margin(maps)) < 1e-9
     assert data["certificate"]["kind"] == "small-gain-SLS-OF"
     assert main(["margin", str(system), "--condition", "cor8"]) == 66
+
+
+def synthesized(tmp_path, family):
+    """The fig. 4 loop with its 'iop' section, or the scalar output-feedback
+    loop with its 'sls_of' section."""
+    system = write_fig4(tmp_path) if family == "iop" else write_scalar_of(tmp_path)
+    out = tmp_path / f"{family}.json"
+    assert main(["synthesize", str(system), "--family", family, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("condition", ["cor3", "cor8"])
+def test_margin_reports_the_condition_margin(tmp_path, condition):
+    out = synthesized(tmp_path, "iop" if condition == "cor3" else "sls-of")
+    report = tmp_path / "margin.json"
+    assert main(["margin", str(out), "--condition", condition,
+                 "--report", str(report)]) == 0
+    doc = load_system(out)
+    want = iop_margin(doc_iop(doc)) if condition == "cor3" else sls_of_margin(doc_sls_of(doc))
+    assert load_report(report)["result"]["epsilon"] == want
+
+
+@pytest.mark.parametrize("condition, blocks", [
+    ("cor3", [["y", "u"]]),
+    ("cor9", [["y", "u"]]),
+    ("cor7", [["x", "u"], ["x", "x"], ["y", "u"], ["y", "x"]]),
+    ("lemma2-direct", sorted([a, b] for a in "uxy" for b in "uxy")),
+])
+def test_sample_default_blocks_are_the_delta_shape(tmp_path, condition, blocks):
+    if condition == "lemma2-direct":
+        system = write_scalar_of(tmp_path)  # signals x, u, y
+    else:
+        system = synthesized(tmp_path, "sls-of" if condition == "cor7" else "iop")
+    report = tmp_path / "sample.json"
+    main(["sample", str(system), "--radius", "0.01", "--n", "2", "--condition", condition,
+          "--report", str(report)])
+    assert load_report(report)["result"]["blocks"] == blocks
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_sample_blocks_checked_before_sampling(tmp_path, n):
+    out = synthesized(tmp_path, "iop")
+    assert main(["sample", str(out), "--radius", "0.5", "--n", n, "--condition", "cor3",
+                 "--blocks", "bogus:pair"]) == 65
+    assert main(["sample", str(out), "--radius", "0.5", "--n", n, "--condition", "cor3",
+                 "--blocks", "u:y"]) == 65
 
 
 def test_sample_cor7_through_files(tmp_path):

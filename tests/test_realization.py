@@ -7,6 +7,7 @@ from realstab.errors import (
     ImproperBlock,
     MaskViolation,
     NoStabilityMatrix,
+    NotStable,
     NotStrictlyProper,
     SingularPerturbedLoop,
 )
@@ -23,6 +24,7 @@ from realstab.realization import (
     check_offdiagonal_properness,
     perturbed_stability,
     raw_realization,
+    robust_loop,
     stability_matrix,
     verify_rs_identity,
 )
@@ -309,3 +311,36 @@ def test_offdiagonal_check_exempts_diagonal():
     sys = build_state_feedback(ss, TransferMatrix(1, 1, [rf(-HALF)]))
     zero = TransferMatrix.zeros(2, 2)
     assert check_offdiagonal_properness(sys, zero)
+
+
+@pytest.mark.parametrize("build", [build_state_feedback, build_output_feedback])
+def test_builders_keep_their_loop_matrix(build):
+    ss = StateSpace([[HALF]], [[1]], [[1]], [[0]])
+    K = TransferMatrix(1, 1, [rf(-HALF)])
+    built = build(ss, K)
+    fresh = raw_realization(built.R)
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    loop = built.loop_matrix()
+    assert loop is built.loop_matrix()
+    assert fresh.loop_matrix() is fresh.loop_matrix()
+    assert loop == fresh.loop_matrix()
+    assert (loop.row_blocks, loop.col_blocks) == (built.partition, built.partition)
+    assert stability_matrix(built) == stability_matrix(fresh)
+
+
+def test_robust_loop_closes_delta_around_x():
+    X = TransferMatrix(1, 1, [rf(1, Z - HALF)])
+    delta = TransferMatrix(1, 1, [rf(Fraction(1, 4))])
+    psi, verdict = robust_loop(X, delta, "I - Delta*X", "Delta")
+    assert psi == (TransferMatrix.identity(1) - delta * X).inverse()
+    assert verdict == stability_verdict(psi) and verdict.is_stable
+    # Delta = 1/2 moves the pole of Psi = (z - 1/2)/(z - 1) onto the unit circle.
+    assert robust_loop(X, delta * 2, "L", "Delta")[1].status == "marginal"
+
+
+def test_robust_loop_errors_name_delta_and_loop():
+    eye = TransferMatrix.identity(1)
+    with pytest.raises(NotStable, match="^Delta is unstable$"):
+        robust_loop(eye, TransferMatrix(1, 1, [rf(1, Z - 2)]), "I - Delta*X", "Delta")
+    with pytest.raises(SingularPerturbedLoop, match=r"^I - Delta\*X is singular$"):
+        robust_loop(eye, eye, "I - Delta*X", "Delta")

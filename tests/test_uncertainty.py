@@ -1,17 +1,28 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from realstab.analysis import hinf_norm, stability_verdict
-from realstab.errors import DimensionMismatch, EmptyMask, InfiniteMargin, NotStable
-from realstab.iop import iop_from_loop, iop_margin
+from realstab import uncertainty
+from realstab.analysis import StabilityVerdict, hinf_norm, stability_verdict
+from realstab.errors import (
+    DimensionMismatch,
+    EmptyMask,
+    InfiniteMargin,
+    NotStable,
+    SingularPerturbedLoop,
+)
+from realstab.iop import iop_from_loop, iop_margin, iop_robust_check
 from realstab.matrix import StateSpace, TransferMatrix
 from realstab.realization import build_plant_controller, raw_realization
-from realstab.sls import sls_of_from_controller, sls_of_margin
+from realstab.sls import sls_of_from_controller, sls_of_margin, sls_of_robust_check
 from realstab.uncertainty import (
+    Certificate,
+    SampleStats,
     UncertaintySpec,
     monte_carlo_certify,
+    robust_condition,
     sample_delta,
     worst_case_delta,
 )
@@ -100,6 +111,96 @@ def test_unknown_checker_rejected():
         monte_carlo_certify(quad, spec, 0, "cor3")
     with pytest.raises(ValueError):  # constraint hooks are lemma2-direct only
         monte_carlo_certify(quad, spec, 2, "cor3", constraint=dc_gain_at_most_2)
+
+
+@pytest.mark.parametrize("mask, error", [(frozenset(), EmptyMask),
+                                         ({("nope", "u")}, DimensionMismatch)])
+@pytest.mark.parametrize("n", [1, 5])
+def test_mask_checked_before_any_sample(monkeypatch, mask, error, n):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a sample before checking the mask")
+
+    monkeypatch.setattr(uncertainty, "_sample_with_norm", no_draw)
+    spec = UncertaintySpec(block_mask=mask, radius=0.5)
+    with pytest.raises(error):
+        monte_carlo_certify(scalar_quad(), spec, n, "cor3")
+
+
+def test_robust_condition_table():
+    quad, maps = scalar_quad(), scalar_of_maps()
+    for condition in ("cor3", "cor9"):
+        assert robust_condition(quad, condition) == (*G_SHAPE, quad.U)
+    for condition in ("cor7", "cor8"):
+        assert robust_condition(maps, condition) == (
+            (("x", 1), ("y", 1)), (("x", 1), ("u", 1)), maps.block())
+    with pytest.raises(TypeError):
+        robust_condition(maps, "cor3")
+    with pytest.raises(TypeError):
+        robust_condition(quad, "cor7")
+    with pytest.raises(ValueError):
+        robust_condition(quad, "lemma2-direct")
+
+
+def _reference_certificate(nominal, spec, n, condition):
+    """monte_carlo_certify rebuilt from sample_delta and the named checkers."""
+    if condition == "cor7":
+        ss = nominal.ss
+        shape = ((("x", ss.n), ("y", ss.p)), (("x", ss.n), ("u", ss.m)))
+        margin = sls_of_margin(nominal)
+
+        def check(delta):
+            blocks = [delta.block(a, b) for a, b in (("x", "x"), ("x", "u"),
+                                                     ("y", "x"), ("y", "u"))]
+            return sls_of_robust_check(ss, nominal, *blocks)[1]
+    else:
+        shape = G_SHAPE
+        margin = iop_margin(nominal)
+
+        def check(delta):
+            return iop_robust_check(nominal.U, delta)
+    counts = {"stable": 0, "marginal": 0, "unstable": 0}
+    worst = {}  # status -> (norm, witnesses) of its smallest-norm sample
+    max_norm = 0.0
+    rows, cols = (sum(size for _, size in blocks) for blocks in shape)
+    for i in range(n):
+        if i == 0:
+            delta, norm = TransferMatrix.zeros(rows, cols, *shape), 0.0
+        else:
+            sample_spec = replace(spec, seed=spec.seed + i)
+            delta = sample_delta(sample_spec, shape)
+            norm = uncertainty._sample_with_norm(sample_spec, shape)[1]
+        try:
+            verdict = check(delta)
+        except SingularPerturbedLoop:
+            verdict = StabilityVerdict("unstable", ((complex(math.inf, 0.0), math.inf),))
+        counts[verdict.status] += 1
+        max_norm = max(max_norm, norm)
+        if not verdict.is_stable and (verdict.status not in worst
+                                      or norm < worst[verdict.status][0]):
+            worst[verdict.status] = (norm, verdict.witnesses)
+    status = "unstable" if counts["unstable"] else "marginal" if counts["marginal"] else None
+    worst_norm, witnesses = worst[status] if status else (max_norm, ())
+    stats = SampleStats(n_samples=n, n_stable=counts["stable"], n_marginal=counts["marginal"],
+                        n_unstable=counts["unstable"], worst_sample_norm=worst_norm)
+    return Certificate(kind="monte-carlo", margin=margin,
+                       verdict=StabilityVerdict(status or "stable", witnesses),
+                       condition_ref=condition, sample_stats=stats, seed=spec.seed)
+
+
+@pytest.mark.parametrize("condition, mask, radius_share, order, seed", [
+    ("cor3", {("y", "u")}, 2.0, 0, 0),
+    ("cor9", {("y", "u")}, 3.0, 2, 5),
+    ("cor7", {("x", "x"), ("x", "u"), ("y", "x"), ("y", "u")}, 3.0, 1, 3),
+    ("cor7", {("x", "x")}, 4.0, 1, 2),
+])
+def test_sampler_matches_named_checkers(condition, mask, radius_share, order, seed):
+    nominal = scalar_of_maps() if condition == "cor7" else scalar_quad()
+    margin = sls_of_margin(nominal) if condition == "cor7" else iop_margin(nominal)
+    spec = UncertaintySpec(block_mask=mask, radius=radius_share * margin,
+                           sample_order=order, seed=seed)
+    want = _reference_certificate(nominal, spec, 60, condition)
+    assert not want.verdict.is_stable  # witnesses and worst norm are compared too
+    assert monte_carlo_certify(nominal, spec, 60, condition) == want
 
 
 def test_soundness_cor3_below_margin():
