@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStabilizing, NotStable, PoleOnGrid
+from .errors import NotStable, PoleOnGrid
 from .matrix import TransferMatrix
 from .ratfun import RationalFunction
 
@@ -127,14 +127,6 @@ def require_stable(Xm, what: str) -> None:
     verdict = stability_verdict(Xm)
     if not verdict.is_stable:
         raise NotStable(f"{what} is {verdict.status}")
-
-
-def check_schur(name: str, X) -> None:
-    """Raise NotStabilizing unless the constant matrix X has every eigenvalue
-    of modulus below 1 - STABILITY_TOL."""
-    eigs = np.linalg.eigvals(np.array([[float(v) for v in row] for row in X], dtype=float))
-    if eigs.size and np.max(np.abs(eigs)) >= 1 - STABILITY_TOL:
-        raise NotStabilizing(f"{name} leaves an eigenvalue on or outside the unit circle")
 
 
 # -- gain evaluation on the unit circle -------------------------------------

@@ -10,12 +10,13 @@ Exit codes: 0 stable / all samples stable, 1 non-stable samples present,
 2 marginal, 3 unstable or improper, 4 no stability matrix, 5 singular
 perturbed loop, 6 pole on the frequency grid, 7 gain not stabilizing,
 64 parse or usage error, 65 dimension error, 66 missing parameterization
-blocks.
+blocks, 70 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -357,14 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("--report")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("perturb", help="stability under an explicit additive perturbation")
     p.add_argument("system")
     p.add_argument("delta")
     p.add_argument("--report")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("margin", help="small-gain robustness margin")
     p.add_argument("system")
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="construct the aligned worst-case perturbation at the gain peak")
     p.add_argument("--report")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_margin)
 
     p = sub.add_parser("sample", help="Monte-Carlo certification over an uncertainty ball")
     p.add_argument("system")
@@ -388,56 +386,54 @@ def build_parser() -> argparse.ArgumentParser:
                         "lemma2-direct only")
     p.add_argument("--report")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("freqresp", help="CSV of singular values over [0, pi]")
     p.add_argument("system")
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_freqresp)
 
     p = sub.add_parser("synthesize", help="closed-form parameterization blocks from gains")
     p.add_argument("system")
     p.add_argument("--family", choices=("youla", "iop", "sls-sf", "sls-of"), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gains", help="JSON object or path with F, L, K real matrices")
-    p.set_defaults(func=cmd_synthesize)
     return parser
 
 
+# Ordered like README's "Exit codes" table; the first matching row wins, so
+# MissingBlocks (a SchemaError) comes before SchemaError.
+_EXIT_CODES = (
+    ((MissingBlocks,), 66),
+    ((SchemaError, EmptyMask, MaskViolation, OSError, ValueError), 64),
+    ((DimensionMismatch,), 65),
+    ((NoStabilityMatrix,), 4),
+    ((SingularPerturbedLoop,), 5),
+    ((PoleOnGrid,), 6),
+    ((NotStabilizing, InfiniteMargin), 7),
+    # internal guards (exactness cross-checks); not part of the taxonomy
+    ((RealstabError,), 70),
+)
+_HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 64
     try:
-        return args.func(args)
-    except MissingBlocks as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 66
-    except (SchemaError, EmptyMask, MaskViolation, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 65
-    except NoStabilityMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SingularPerturbedLoop as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except PoleOnGrid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except (NotStabilizing, InfiniteMargin) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
-    except RealstabError as exc:
-        # internal guards (exactness cross-checks); not part of the taxonomy
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 70
+        # Looked up per call, so wrappers installed on cmd_* after the parser
+        # is built still see every command.
+        return globals()[f"cmd_{args.command}"](args)
+    except _HANDLED as exc:
+        code = next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+        print(f"{'internal error' if code == 70 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -67,7 +67,7 @@ def parse_ratfun(obj) -> RationalFunction:
     if isinstance(obj, (int, str)):
         return RationalFunction(parse_rational(obj))
     if isinstance(obj, dict):
-        if "num" not in obj or "den" not in obj:
+        if not (isinstance(obj.get("num"), list) and isinstance(obj.get("den"), list)):
             raise SchemaError("rational function needs 'num' and 'den' coefficient lists")
         num = Polynomial([parse_rational(c) for c in obj["num"]])
         den = Polynomial([parse_rational(c) for c in obj["den"]])
@@ -84,11 +84,18 @@ def ratfun_to_json(rf: RationalFunction):
             "den": [rational_to_json(c) for c in rf.den.coeffs]}
 
 
+def _pairs(obj, what: str) -> list:
+    """obj as a list of two-element lists, else SchemaError naming what."""
+    if not isinstance(obj, list) or not all(isinstance(p, list) and len(p) == 2 for p in obj):
+        raise SchemaError(f"{what} must be a list of two-element lists, got {obj!r}")
+    return obj
+
+
 def _parse_blocks(obj, axis: str):
     if obj is None:
         return None
     try:
-        return tuple((str(label), int(size)) for label, size in obj)
+        return tuple((str(label), int(size)) for label, size in _pairs(obj, f"{axis} blocks"))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad {axis} block list {obj!r}") from exc
 
@@ -103,10 +110,13 @@ def parse_tm(obj, require_blocks: bool = False) -> TransferMatrix:
     cols = len(grid[0])
     if any(len(r) != cols for r in grid):
         raise SchemaError("'entries' rows are ragged")
-    if "rows" in obj and int(obj["rows"]) != rows:
-        raise SchemaError("'rows' does not match the entry grid")
-    if "cols" in obj and int(obj["cols"]) != cols:
-        raise SchemaError("'cols' does not match the entry grid")
+    for key, count in (("rows", rows), ("cols", cols)):
+        try:
+            matches = key not in obj or int(obj[key]) == count
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{key!r} must be an integer, got {obj[key]!r}") from exc
+        if not matches:
+            raise SchemaError(f"{key!r} does not match the entry grid")
     entries = [parse_ratfun(e) for row in grid for e in row]
     row_blocks = _parse_blocks(obj.get("row_blocks"), "row")
     col_blocks = _parse_blocks(obj.get("col_blocks"), "col")
@@ -325,7 +335,7 @@ def load_perturbation(path) -> AdditivePerturbation:
         raise SchemaError("perturbation file needs a 'delta' matrix")
     delta = parse_tm(data["delta"], require_blocks=True)
     if "block_mask" in data:
-        mask = frozenset((str(a), str(b)) for a, b in data["block_mask"])
+        mask = frozenset((str(a), str(b)) for a, b in _pairs(data["block_mask"], "'block_mask'"))
     else:
         mask = frozenset((ra, cb) for ra, _ in delta.row_blocks
                          for cb, _ in delta.col_blocks)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .analysis import StabilityVerdict, small_gain_margin, stability_verdict
 from .errors import DimensionMismatch
-from .matrix import TransferMatrix, block_matrix
+from .matrix import TransferMatrix, block_matrix, product_is_identity
 from .realization import build_plant_controller, robust_loop, stability_matrix
 
 
@@ -46,13 +46,13 @@ def iop_verify(G: TransferMatrix, quad: IopQuadruple) -> bool:
             or quad.U.shape != (m, p) or quad.Z.shape != (m, m):
         raise DimensionMismatch("quadruple shapes do not match the plant")
     blk = quad.block()
-    left = block_matrix([[TransferMatrix.identity(p), -G]]) * blk
-    if left != block_matrix([[TransferMatrix.identity(p), TransferMatrix.zeros(p, m)]]):
+    if not product_is_identity(block_matrix([[TransferMatrix.identity(p), -G]]), blk):
         return False
-    right = blk * block_matrix([[-G], [TransferMatrix.identity(m)]])
-    if right != block_matrix([[TransferMatrix.zeros(p, m)], [TransferMatrix.identity(m)]]):
+    # [[Y, W], [U, Z]] [-G; I] = [O; I] is, rows swapped, [[U, Z], [Y, W]] [-G; I] = [I; O].
+    if not product_is_identity(block_matrix([[quad.U, quad.Z], [quad.Y, quad.W]]),
+                               block_matrix([[-G], [TransferMatrix.identity(m)]])):
         return False
-    return all(stability_verdict(X).is_stable for X in (quad.Y, quad.W, quad.U, quad.Z))
+    return stability_verdict(blk).is_stable
 
 
 def iop_controller(quad: IopQuadruple) -> TransferMatrix:

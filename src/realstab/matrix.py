@@ -9,12 +9,12 @@ Inverse, determinant and resolvent share one fraction-free elimination
 (Bareiss 1968) over integer polynomials: each row is cleared to integer
 polynomials over one row scale, every elimination step divides exactly
 by the previous pivot, and each result entry is canonicalized once.
-``product_is_identity`` decides X Y == I on the same cleared rows and
-columns without canonicalizing any product entry. On a 2-core Xeon VM,
-I - M/4 with dense random proper entries of degree up to 2 inverts in
-0.3-1.1 s at 6 x 6, 1.8-6.8 s at 7 x 7 and 7-22 s at 8 x 8; at 8 x 8 the
-elimination takes 0.3 s and the rest is the gcds that reduce the 64
-result entries over a degree-58 determinant.
+``product_is_identity`` decides X Y == I (or [I O], [I; O]) on the same
+cleared rows and columns without canonicalizing any product entry. On a
+2-core Xeon VM, I - M/4 with dense random proper entries of degree up to 2
+inverts in 0.3-1.1 s at 6 x 6, 1.8-6.8 s at 7 x 7 and 7-22 s at 8 x 8; at
+8 x 8 the elimination takes 0.3 s and the rest is the gcds that reduce the
+64 result entries over a degree-58 determinant.
 """
 
 from __future__ import annotations
@@ -357,16 +357,16 @@ class TransferMatrix:
 
 
 def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
-    """True iff X Y is the identity, decided without canonicalizing any entry.
+    """True iff X Y has ones on its main diagonal and zeros everywhere else.
 
-    With the rows of X cleared to (P_i, l_i) and the columns of Y to
-    (Q_j, m_j), (X Y)_ij = P_i . Q_j / (l_i m_j), so the test
+    For a square product that is I; a wide one must be [I O] and a tall
+    one [I; O]. Decided without canonicalizing any entry: with the rows of
+    X cleared to (P_i, l_i) and the columns of Y to (Q_j, m_j),
+    (X Y)_ij = P_i . Q_j / (l_i m_j), so the test
     P_i . Q_j == delta_ij l_i m_j is exact.
     """
     if X.cols != Y.rows:
         raise DimensionMismatch(f"cannot multiply {X.shape} by {Y.shape}")
-    if X.rows != Y.cols:
-        return False
     rows = [_cleared(X.row(i)) for i in range(X.rows)]
     cols = [_cleared(Y.entries[j::Y.cols]) for j in range(Y.cols)]
     for i, (P, l) in enumerate(rows):

@@ -10,14 +10,7 @@ uncertainty set, so a marginal loop already falls outside it).
 
 from __future__ import annotations
 
-from .analysis import (
-    STABILITY_TOL,
-    UNSTABLE,
-    StabilityVerdict,
-    require_stable,
-    roots_of,
-    stability_verdict,
-)
+from .analysis import UNSTABLE, StabilityVerdict, require_stable, stability_verdict
 from .errors import DimensionMismatch
 from .matrix import TransferMatrix
 from .ratfun import RationalFunction
@@ -40,7 +33,8 @@ def mu_destab_test(M: TransferMatrix, delta: TransferMatrix
 
     Returns (det(I - M Delta), verdict of the closed-loop map
     (I - M Delta)^-1 M = M (I - Delta M)^-1). Zeros of the
-    determinant with modulus at least 1 - tol are destabilizing witnesses
+    determinant that the verdict of 1/det does not call stable (modulus at
+    least 1 - 1e-9) are destabilizing witnesses, in that verdict's order,
     and force an unstable verdict; an identically zero determinant is
     reported as unstable with an unbounded witness rather than raised.
     """
@@ -52,9 +46,7 @@ def mu_destab_test(M: TransferMatrix, delta: TransferMatrix
         witness = (complex(float("inf"), 0.0), float("inf"))
         return det_fn, StabilityVerdict(UNSTABLE, (witness,))
     verdict = stability_verdict(loop.inverse() * M)
-    witnesses = tuple(
-        (r, abs(r)) for r in roots_of(det_fn) if abs(r) >= 1 - STABILITY_TOL
-    )
-    if witnesses and verdict.status != UNSTABLE:
-        verdict = StabilityVerdict(UNSTABLE, witnesses)
+    zeros = stability_verdict(RationalFunction(1, det_fn.num))
+    if not zeros.is_stable and verdict.status != UNSTABLE:
+        verdict = StabilityVerdict(UNSTABLE, zeros.witnesses)
     return det_fn, verdict

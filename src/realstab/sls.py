@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import StabilityVerdict, check_schur, small_gain_margin, stability_verdict
+from .analysis import StabilityVerdict, small_gain_margin, stability_verdict
 from .errors import DimensionMismatch, NotStabilizing
-from .matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_add, fm_mul, fm_shape
+from .matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_shape, product_is_identity
 from .realization import (
     AdditivePerturbation,
     build_output_feedback,
+    build_state_feedback,
     perturbed_loop,
     robust_loop,
     stability_matrix,
@@ -70,18 +71,21 @@ def sls_sf_defect(ss: StateSpace, phi_x: TransferMatrix,
 
 
 def sls_sf_from_gain(ss: StateSpace, K) -> SlsStateFeedback:
-    """Closed-form response maps of the static state feedback u = K x.
+    """Response maps of the static state feedback u = K x, read off its loop.
 
-    The gain must make A + BK Schur (tolerance 1e-9; deadbeat gains pass
-    trivially). The returned defect is identically zero.
+    phi_x = S_xx = (zI - A - BK)^-1 and phi_u = S_ux = K phi_x are blocks
+    of the state-feedback loop's stability matrix S. The gain stabilizes
+    when stability_verdict(S) is stable; every eigenvalue of A + BK is a
+    pole of S_xx. The returned defect is identically zero.
     """
     K = fm(K)
     if fm_shape(K) != (ss.m, ss.n):
         raise DimensionMismatch(f"gain must be {ss.m}x{ss.n}")
-    a_cl = fm_add(ss.A, fm_mul(ss.B, K))
-    check_schur("A + B*K", a_cl)
-    phi_x = StateSpace(a_cl, ss.B, ss.C, ss.D).resolvent()
-    phi_u = TransferMatrix.constant(K) * phi_x
+    S = stability_matrix(build_state_feedback(ss, TransferMatrix.constant(K)))
+    if not stability_verdict(S).is_stable:
+        raise NotStabilizing("A + B*K leaves an eigenvalue on or outside the unit circle")
+    phi_x = S.block("x", "x")
+    phi_u = S.block("u", "x")
     defect = sls_sf_defect(ss, phi_x, phi_u)
     return SlsStateFeedback(ss=ss, phi_x=phi_x, phi_u=phi_u, defect=defect)
 
@@ -140,26 +144,17 @@ def sls_of_verify(ss: StateSpace, maps: SlsOutputFeedback) -> bool:
     """True iff both affine identities and the class memberships hold.
 
     Identities: [zI-A, -B] Phi = [I, O] and Phi [zI-A; -C] = [I; O].
-    Memberships: phi_xx, phi_xy, phi_ux strictly proper and stable,
-    phi_uy proper and stable.
+    Memberships: phi_xx, phi_xy, phi_ux strictly proper, and the whole
+    block Phi proper and stable.
     """
-    n, m, p = ss.n, ss.m, ss.p
     blk = maps.block()
-    col = _zia_minus_b(ss) * blk
-    want_col = block_matrix([[TransferMatrix.identity(n), TransferMatrix.zeros(n, p)]])
-    if col != want_col:
-        return False
-    row = blk * _zia_over_minus_c(ss)
-    want_row = block_matrix([[TransferMatrix.identity(n)], [TransferMatrix.zeros(m, n)]])
-    if row != want_row:
+    if not (product_is_identity(_zia_minus_b(ss), blk)
+            and product_is_identity(blk, _zia_over_minus_c(ss))):
         return False
     strict = (maps.phi_xx, maps.phi_xy, maps.phi_ux)
     if not all(e.is_strictly_proper for X in strict for e in X.entries):
         return False
-    if not maps.phi_uy.is_proper():
-        return False
-    return all(stability_verdict(X).is_stable for X in
-               (maps.phi_xx, maps.phi_xy, maps.phi_ux, maps.phi_uy))
+    return stability_verdict(blk).is_stable
 
 
 def sls_of_controller(maps: SlsOutputFeedback, D=None) -> TransferMatrix:

@@ -6,7 +6,7 @@ import pytest
 
 from realstab import cli, uncertainty
 from realstab.cli import main
-from realstab.errors import SingularPerturbedLoop
+from realstab.errors import IdentityCheckFailed, SingularPerturbedLoop
 from realstab.fileio import (
     SystemDocument,
     build_realization,
@@ -126,6 +126,27 @@ def test_usage_error_exit_64():
     assert main(["no-such-command"]) == 64
 
 
+def test_main_builds_one_parser_and_looks_up_commands_per_call(tmp_path, capsys,
+                                                                monkeypatch):
+    system = write_fig4(tmp_path)
+    assert main(["analyze", str(system)]) == 0
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    # A wrapper installed after the parser exists still sees the command.
+    seen = []
+    original = cli.cmd_analyze
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args) or original(args))
+    assert main(["analyze", str(system)]) == 0
+    assert [a.system for a in seen] == [str(system)]
+    capsys.readouterr()
+
+    def guard_fails(args):
+        raise IdentityCheckFailed("closed forms disagree")
+    monkeypatch.setattr(cli, "cmd_analyze", guard_fails)
+    assert main(["analyze", str(system)]) == 70
+    assert capsys.readouterr().err == "internal error: closed forms disagree\n"
+
+
 def write_delta(tmp_path, entry, name="delta.json"):
     blocks = (("s", 1),)
     delta = TransferMatrix(1, 1, [entry], blocks, blocks)
@@ -133,6 +154,29 @@ def write_delta(tmp_path, entry, name="delta.json"):
     path = tmp_path / name
     path.write_text(dumps_canonical(perturbation_to_json(pert)))
     return path
+
+
+@pytest.mark.parametrize("field, value", [("entries", [[{"num": "12", "den": "31"}]]),
+                                          ("rows", [1])])
+def test_malformed_matrix_exit_64(tmp_path, capsys, field, value):
+    system = write_fig4(tmp_path)
+    data = json.loads(system.read_text())
+    data["plant"][field] = value
+    system.write_text(json.dumps(data))
+    assert main(["analyze", str(system)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_block_mask_exit_64(tmp_path, capsys):
+    system = write_raw_scalar(tmp_path, rf(Fraction(1, 3), Z))
+    delta = write_delta(tmp_path, rf(0))
+    data = json.loads(delta.read_text())
+    data["block_mask"] = [1]
+    delta.write_text(json.dumps(data))
+    assert main(["perturb", str(system), str(delta)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'block_mask'") and "Traceback" not in err
 
 
 def test_perturb_scalar_pole_shift(tmp_path):

@@ -76,6 +76,26 @@ def test_tm_shape_validation():
         parse_tm({"entries": []})
 
 
+@pytest.mark.parametrize("entry", [{"num": "12", "den": "31"}, {"num": ["1"], "den": "31"},
+                                   {"num": ["1"], "den": 3}])
+def test_coefficients_must_be_lists(entry):
+    # A string would be read one character at a time: "12" / "31" as (1 + 2z)/(3 + z).
+    with pytest.raises(SchemaError, match="coefficient lists"):
+        parse_ratfun(entry)
+
+
+@pytest.mark.parametrize("key, value", [("rows", [1]), ("cols", {"n": 1}), ("rows", "one")])
+def test_tm_counts_must_be_integers(key, value):
+    with pytest.raises(SchemaError, match=f"'{key}' must be an integer"):
+        parse_tm({key: value, "entries": [["1"]]})
+
+
+@pytest.mark.parametrize("blocks", [[1], ["s1"], [["s", 1, 2]], "s1"])
+def test_tm_blocks_must_be_pairs(blocks):
+    with pytest.raises(SchemaError):
+        parse_tm({"entries": [["1"]], "row_blocks": blocks, "col_blocks": [["s", 1]]})
+
+
 def _plant_controller_doc():
     return SystemDocument(kind="plant-controller",
                           plant=TransferMatrix(1, 1, [rf(1, Z)]),
@@ -184,6 +204,31 @@ def test_perturbation_round_trip(tmp_path):
     back = load_perturbation(path)
     assert back.delta == delta
     assert back.block_mask == pert.block_mask
+
+
+@pytest.mark.parametrize("mask", [[1], ["yu"], [["y", "u", "x"]], {"y": "u"}])
+def test_perturbation_mask_must_be_label_pairs(tmp_path, mask):
+    # ["yu"] would otherwise unpack to the pair ("y", "u").
+    blocks = (("y", 1), ("u", 1))
+    delta = TransferMatrix(2, 2, [rf(0), rf(HALF, Z), rf(0), rf(0)], blocks, blocks)
+    payload = {"version": "realstab/1", "kind": "perturbation", "delta": tm_to_json(delta),
+               "block_mask": mask}
+    path = tmp_path / "delta.json"
+    path.write_text(dumps_canonical(payload))
+    with pytest.raises(SchemaError, match="'block_mask' must be a list of two-element lists"):
+        load_perturbation(path)
+
+
+@pytest.mark.parametrize("field, value", [("entries", [[{"num": "12", "den": "31"}]]),
+                                          ("rows", [1])])
+def test_malformed_plant_raises_schema_error(tmp_path, field, value):
+    path = tmp_path / "loop.json"
+    save_system(_plant_controller_doc(), path)
+    data = json.loads(path.read_text())
+    data["plant"][field] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_system(path)
 
 
 def test_perturbation_default_mask(tmp_path):

@@ -13,7 +13,7 @@ from realstab.iop import (
     iop_robust_check,
     iop_verify,
 )
-from realstab.matrix import TransferMatrix
+from realstab.matrix import TransferMatrix, block_matrix
 from realstab.realization import build_plant_controller, stability_matrix
 
 from conftest import HALF, Z, random_proper_tm, rf
@@ -55,6 +55,21 @@ def test_unstable_blocks_fail_verification():
     quad = IopQuadruple(G=G, Y=S.block("y", "y"), W=S.block("y", "u"),
                         U=S.block("u", "y"), Z=S.block("u", "u"))
     assert not iop_verify(G, quad)
+
+
+def test_each_identity_fails_on_its_own():
+    quad = scalar_quad()
+    G, one, zero = quad.G, TransferMatrix.identity(1), TransferMatrix.zeros(1, 1)
+    # Phi + [G; I] [O, I] keeps [I, -G] Phi = [I, O] and breaks Phi [-G; I] = [O; I];
+    # Phi + [I; O] [I, G] keeps the second and breaks the first.
+    right_broken = IopQuadruple(G=G, Y=quad.Y, W=quad.W + G, U=quad.U, Z=quad.Z + one)
+    left_broken = IopQuadruple(G=G, Y=quad.Y + one, W=quad.W + G, U=quad.U, Z=quad.Z)
+    for bad in (right_broken, left_broken):
+        left = block_matrix([[one, -G]]) * bad.block() == block_matrix([[one, zero]])
+        right = bad.block() * block_matrix([[-G], [one]]) == block_matrix([[zero], [one]])
+        assert (left, right) == ((True, False) if bad is right_broken else (False, True))
+        assert stability_verdict(bad.block()).is_stable
+        assert not iop_verify(G, bad)
 
 
 def test_controller_recovery():

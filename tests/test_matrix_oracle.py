@@ -200,7 +200,37 @@ def test_product_is_identity_matches_sympy(M, index, bump):
     ents = list(inv.entries)
     ents[index % len(ents)] += bump
     Y = TransferMatrix(M.rows, M.cols, ents)
-    eye = DomainMatrix.eye(M.rows, QZ)
+    eye = DomainMatrix.eye(M.rows, QZ).to_dense()  # oracle products are dense
     assert product_is_identity(M, Y) == (oracle(M) * oracle(Y) == eye)
     assert product_is_identity(Y, M) == (oracle(Y) * oracle(M) == eye)
     assert not product_is_identity(M, Y)
+
+
+@SETTINGS
+@given(matrices(max_n=3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 8),
+       rationals.filter(bool))
+def test_rectangular_product_is_identity_matches_sympy(M, r, c, index, bump):
+    # Leading rows of M times leading columns of M^-1: eye(r, c), i.e. I, [I O] or [I; O].
+    try:
+        inv = M.inverse()
+    except SingularMatrix:
+        return
+    n = M.rows
+    r, c = min(r, n), min(c, n)
+    X = M.submatrix((0, r), (0, n))
+    Y = inv.submatrix((0, n), (0, c))
+    eye = DomainMatrix.eye((r, c), QZ).to_dense()
+    assert oracle(X) * oracle(Y) == eye
+    assert product_is_identity(X, Y)
+    # Bump Y[k, j] where column k of X is nonzero: column j of X Y moves off eye(r, c).
+    k = next(k for k in range(n) if any(not X[i, k].is_zero for i in range(r)))
+    ents = list(Y.entries)
+    ents[k * c + index % c] += bump
+    bumped = TransferMatrix(n, c, ents)
+    assert product_is_identity(X, bumped) == (oracle(X) * oracle(bumped) == eye)
+    assert not product_is_identity(X, bumped)
+    if n > 1:
+        # Rows 1..n-1 of M against M^-1 put the ones below the main diagonal.
+        shifted = M.submatrix((1, n), (0, n))
+        assert not product_is_identity(shifted, inv)
+        assert oracle(shifted) * oracle(inv) != DomainMatrix.eye((n - 1, n), QZ).to_dense()

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from realstab.analysis import roots_of
 from realstab.errors import DimensionMismatch, NotStable
 from realstab.matrix import TransferMatrix
 from realstab.mu import mu_destab_test, mu_m_matrix
 from realstab.realization import Transformation, build_plant_controller, stability_matrix
 
-from conftest import HALF, Z, random_stable_fir_tm, rf
+from conftest import HALF, Z, random_stable_fir, random_stable_fir_tm, rf
 
 
 def scalar_S():
@@ -118,3 +119,38 @@ def test_determinant_matches_pointwise_evaluation(rng):
         point = cmath.exp(1j * omega)
         direct = np.linalg.det(np.eye(2) - M.evaluate(point) @ delta.evaluate(point))
         assert abs(det_fn(point) - direct) < 1e-8
+
+
+def det_zeros_off_the_open_disc(det_fn):
+    return sorted((r for r in roots_of(det_fn) if abs(r) >= 1 - 1e-9),
+                  key=lambda r: (r.real, r.imag))
+
+
+def assert_same_points(got, want):
+    assert len(got) == len(want)
+    got = sorted(got, key=lambda r: (r.real, r.imag))
+    assert all(abs(a - b) < 1e-9 for a, b in zip(got, want))
+
+
+def test_destab_witnesses_are_det_zeros_in_verdict_order():
+    # 1 - M = (z - 1)(z + 1)(z - 1/2) / z^3: the closed-loop map is only marginal,
+    # so the two boundary zeros of the determinant force the unstable verdict.
+    M = TransferMatrix(1, 1, [rf(HALF * Z * Z + Z - HALF, Z * Z * Z)])
+    det_fn, verdict = mu_destab_test(M, TransferMatrix.identity(1))
+    assert verdict.status == "unstable"
+    assert_same_points([w for w, _ in verdict.witnesses], det_zeros_off_the_open_disc(det_fn))
+    moduli = [(-mod, w.real, w.imag) for w, mod in verdict.witnesses]
+    assert moduli == sorted(moduli)
+
+
+def test_destab_witnesses_match_det_zeros_on_random_loops(rng):
+    for _ in range(30):
+        M = TransferMatrix(1, 1, [random_stable_fir(rng, 2, Fraction(1))])
+        delta = TransferMatrix(1, 1, [random_stable_fir(rng, 1, Fraction(2))])
+        det_fn, verdict = mu_destab_test(M, delta)
+        want = det_zeros_off_the_open_disc(det_fn)
+        if verdict.status == "improper":  # 1 - M delta vanishes at infinity
+            assert not want
+            continue
+        assert verdict.is_stable == (not want)
+        assert_same_points([w for w, _ in verdict.witnesses], want)

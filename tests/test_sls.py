@@ -1,11 +1,12 @@
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from realstab.analysis import freq_response, stability_verdict
 from realstab.errors import NotStable, NotStabilizing, SingularMatrix, SingularPerturbedLoop
-from realstab.matrix import StateSpace, TransferMatrix
+from realstab.matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_add, fm_mul
 from realstab.realization import (
     build_output_feedback,
     perturbed_stability,
@@ -24,7 +25,7 @@ from realstab.sls import (
     sls_sf_robust,
 )
 
-from conftest import HALF, Z, random_stable_fir_tm, rf
+from conftest import HALF, Z, random_fm, random_stable_fir_tm, rf
 
 
 def deadbeat_maps():
@@ -59,6 +60,42 @@ def test_state_feedback_rejects_non_stabilizing():
         sls_sf_from_gain(ss, [[0]])
 
 
+@pytest.mark.parametrize("A, B, K", [
+    ([[HALF]], [[1]], [[HALF]]),                # A + BK = 1
+    ([[HALF]], [[1]], [[-3 * HALF]]),           # A + BK = -1
+    ([[0, 0], [1, 0]], [[1], [0]], [[0, -1]]),  # A + BK = [[0, -1], [1, 0]], eigenvalues +-i
+])
+def test_state_feedback_rejects_gain_on_the_circle(A, B, K):
+    ss = StateSpace(A, B, [[0] * len(A)], [[0]])
+    message = "A + B*K leaves an eigenvalue on or outside the unit circle"
+    with pytest.raises(NotStabilizing, match=re.escape(message)):
+        sls_sf_from_gain(ss, K)
+
+
+def test_state_feedback_maps_match_closed_forms(rng):
+    # The maps read off the loop's stability matrix equal (zI - A - BK)^-1 and
+    # K (zI - A - BK)^-1, and the loop's verdict decides what eigvals does.
+    stable = unstable = 0
+    for _ in range(30):
+        n, m = rng.randint(2, 4), rng.randint(1, 2)
+        ss = StateSpace([[x / 2 for x in row] for row in random_fm(rng, n, n, -1, 1)],
+                        random_fm(rng, n, m, -1, 1), [[0] * n], [[0] * m])
+        K = fm(random_fm(rng, m, n, -1, 1))
+        a_cl = fm_add(ss.A, fm_mul(ss.B, K))
+        if max(abs(np.linalg.eigvals(np.array(a_cl, dtype=float)))) >= 1 - 1e-9:
+            with pytest.raises(NotStabilizing):
+                sls_sf_from_gain(ss, K)
+            unstable += 1
+            continue
+        maps = sls_sf_from_gain(ss, K)
+        phi_x = StateSpace(a_cl, ss.B, ss.C, ss.D).resolvent()
+        assert maps.phi_x == phi_x
+        assert maps.phi_u == TransferMatrix.constant(K) * phi_x
+        assert maps.defect.is_zero()
+        stable += 1
+    assert stable >= 5 and unstable >= 5
+
+
 def test_state_feedback_robust_drift():
     _, maps = deadbeat_maps()
     for delta, expect in ((Fraction(99, 100), "stable"), (Fraction(1), "marginal")):
@@ -88,6 +125,29 @@ def test_output_feedback_improper_block_fails():
     bad = sls_of_from_blocks(ss, maps.phi_xx, maps.phi_xy, maps.phi_ux,
                              maps.phi_uy + TransferMatrix(1, 1, [rf(Z)]))
     assert not sls_of_verify(ss, bad)
+
+
+def test_output_feedback_each_identity_fails_on_its_own():
+    ss, _, maps = scalar_of()
+    c = rf(Fraction(1, 4))
+    res, one = ss.resolvent(), TransferMatrix.identity(1)
+    # Phi + [res B; I] [O, c] keeps [zI-A, -B] Phi = [I, O] and breaks
+    # Phi [zI-A; -C] = [I; O]; Phi + [O; c] [C res, I] keeps the second only.
+    right_broken = sls_of_from_blocks(ss, maps.phi_xx, maps.phi_xy + res * c,
+                                      maps.phi_ux, maps.phi_uy + one * c)
+    left_broken = sls_of_from_blocks(ss, maps.phi_xx, maps.phi_xy,
+                                     maps.phi_ux + res * c, maps.phi_uy + one * c)
+    zia_minus_b = block_matrix([[ss.z_minus_a(), -TransferMatrix.constant(ss.B)]])
+    zia_over_minus_c = block_matrix([[ss.z_minus_a()], [-TransferMatrix.constant(ss.C)]])
+    zero = TransferMatrix.zeros(1, 1)
+    for bad in (right_broken, left_broken):
+        left = zia_minus_b * bad.block() == block_matrix([[one, zero]])
+        right = bad.block() * zia_over_minus_c == block_matrix([[one], [zero]])
+        assert (left, right) == ((True, False) if bad is right_broken else (False, True))
+        assert all(e.is_strictly_proper for X in (bad.phi_xx, bad.phi_xy, bad.phi_ux)
+                   for e in X.entries)
+        assert stability_verdict(bad.block()).is_stable
+        assert not sls_of_verify(ss, bad)
 
 
 def test_output_feedback_open_loop_blocks():

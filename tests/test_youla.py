@@ -1,11 +1,13 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from realstab.analysis import stability_verdict
 from realstab.errors import NotStable, NotStabilizing, SingularFactor, SingularPerturbedLoop
-from realstab.matrix import StateSpace, TransferMatrix, fm_add, fm_mul
+from realstab.matrix import StateSpace, TransferMatrix, fm, fm_add, fm_mul
 from realstab.realization import build_plant_controller, stability_matrix
 from realstab.youla import (
     YoulaPair,
@@ -73,6 +75,40 @@ def test_rejects_destabilizing_gains():
     ss = StateSpace([[2]], [[0]], [[1]], [[0]])
     with pytest.raises(NotStabilizing):
         coprime_from_gains(ss, [[0]], [[-2]])
+
+
+@pytest.mark.parametrize("F, L, which", [
+    ([[HALF]], [[-HALF]], "A + B*F"),  # A + BF = 1
+    ([[-HALF]], [[-3 * HALF]], "A + L*C"),  # A + LC = -1
+])
+def test_rejects_gains_on_the_circle(F, L, which):
+    ss = StateSpace([[HALF]], [[1]], [[1]], [[0]])
+    with pytest.raises(NotStabilizing, match=re.escape(
+            f"{which} leaves an eigenvalue on or outside the unit circle")):
+        coprime_from_gains(ss, F, L)
+
+
+def test_gain_verdicts_match_eigenvalues(rng):
+    # Each gain is decided by the verdict of its resolvent; eigvals is the reference.
+    def schur(X):
+        return max(abs(np.linalg.eigvals(np.array(X, dtype=float)))) < 1 - 1e-9
+
+    accepted = rejected = 0
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        ss = StateSpace([[x / 2 for x in row] for row in random_fm(rng, n, n, -1, 1)],
+                        random_fm(rng, n, 1, -1, 1), random_fm(rng, 1, n, -1, 1), [[0]])
+        F = fm(random_fm(rng, 1, n, -1, 1))
+        L = fm(random_fm(rng, n, 1, -1, 1))
+        if schur(fm_add(ss.A, fm_mul(ss.B, F))) and schur(fm_add(ss.A, fm_mul(L, ss.C))):
+            cf = coprime_from_gains(ss, F, L)
+            assert cf.identity_holds() and cf.all_stable()
+            accepted += 1
+        else:
+            with pytest.raises(NotStabilizing):
+                coprime_from_gains(ss, F, L)
+            rejected += 1
+    assert accepted >= 5 and rejected >= 5
 
 
 def test_plant_and_controller_at_zero_parameters():
