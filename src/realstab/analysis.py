@@ -10,9 +10,14 @@ verdict for poles in the boundary band instead of a coin flip). The peak
 gain is the supremum over z = exp(i*omega), omega in [0, pi], estimated on
 a 4096-point grid and sharpened by zooming: the bracket around the maximum
 is re-gridded with ZOOM_POINTS points until it is narrower than 1e-13. One
-evaluator per matrix serves the grid, the zoom and freq_response. The grid
-value is a lower bound that refinement only increases; relative accuracy
-1e-6 is the documented target, not a guarantee for pathological peaks.
+evaluator per matrix serves the grid, the zoom and freq_response. Beyond
+two wide, the SVD runs only at points whose Frobenius norm (an upper bound
+on the largest singular value) reaches the exact value at the point of
+largest bound; a dropped point lies below that value, which the maximum
+is at least, so the pruned grid returns the full grid's first maximum and
+its frequency exactly. The grid value is a lower bound that refinement
+only increases; relative accuracy 1e-6 is the documented target, not a
+guarantee for pathological peaks.
 """
 
 from __future__ import annotations
@@ -94,8 +99,11 @@ def matrix_poles(Xm) -> list[complex]:
     """Entrywise pole list of a transfer matrix (duplicates across entries kept)."""
     Xm = _as_matrix(Xm)
     out: list[complex] = []
+    roots: dict = {}  # entries often share a denominator; root each one once
     for e in Xm.entries:
-        out.extend(poles(e))
+        if e.den not in roots:
+            roots[e.den] = poles(e)
+        out.extend(roots[e.den])
     return sorted(out, key=lambda c: (c.real, c.imag))
 
 
@@ -166,13 +174,19 @@ class _GainEvaluator:
 
     def __init__(self, Xm: TransferMatrix):
         self.rows, self.cols = Xm.rows, Xm.cols
-        self.coeffs = [(e.num.float_coeffs_desc(), e.den.float_coeffs_desc())
+        self.coeffs = [(e.num.float_coeffs_desc(), tuple(e.den.float_coeffs_desc()))
                        for e in Xm.entries]
 
     def values(self, zs: np.ndarray):
-        """Entry values at the points zs, one array per entry in row-major order."""
+        """Entry values at the points zs, one array per entry in row-major order.
+
+        Each distinct denominator is evaluated once; numerators are streamed.
+        """
+        dens: dict = {}
         for num, den in self.coeffs:
-            yield _on_circle(num, zs) / _on_circle(den, zs)
+            if den not in dens:
+                dens[den] = _on_circle(den, zs)
+            yield _on_circle(num, zs) / dens[den]
 
     def matrices(self, zs: np.ndarray) -> np.ndarray:
         """The values at the points zs as one (points, rows, cols) array."""
@@ -181,11 +195,30 @@ class _GainEvaluator:
             out[:, k] = x
         return out.reshape(len(zs), self.rows, self.cols)
 
-    def __call__(self, zs: np.ndarray) -> np.ndarray:
-        """Largest singular value per point; stacked SVD beyond two wide."""
-        if min(self.rows, self.cols) > 2:
-            return np.linalg.svd(self.matrices(zs), compute_uv=False)[:, 0]
-        return _sigma_max(list(self.values(zs)), self.rows, self.cols)
+    def peak(self, zs: np.ndarray) -> tuple[int, float]:
+        """Index and value of the first maximum over the points zs of the
+        largest singular value; the same pair as argmax over every point.
+
+        Beyond two wide, the stacked SVD runs only where the Frobenius norm,
+        an upper bound on the largest singular value, reaches the exact
+        value at the point of largest bound (the floor). A dropped point lies
+        below the floor, which is at most the maximum, so it cannot be the
+        first maximum. The 1e-9 slack covers rounding in the bound; a
+        non-finite bound or floor keeps the point.
+        """
+        if min(self.rows, self.cols) <= 2:
+            sig = _sigma_max(list(self.values(zs)), self.rows, self.cols)
+            k = int(np.argmax(sig))
+            return k, float(sig[k])
+        m = self.matrices(zs)
+        re, im = m.real, m.imag
+        bound = np.sqrt(np.einsum("pij,pij->p", re, re) + np.einsum("pij,pij->p", im, im))
+        top = int(np.argmax(bound))
+        floor = np.linalg.svd(m[top:top + 1], compute_uv=False)[0, 0]
+        idx = np.flatnonzero(~(bound < floor * (1 - 1e-9)))
+        sig = np.linalg.svd(m[idx], compute_uv=False)[:, 0]
+        k = int(np.argmax(sig))
+        return int(idx[k]), float(sig[k])
 
 
 def hinf_peak(Xm) -> tuple[float, float]:
@@ -198,9 +231,8 @@ def hinf_peak(Xm) -> tuple[float, float]:
     require_stable(Xm, "peak gain undefined: matrix")
     gain = _GainEvaluator(Xm)
     omegas = _GRID
-    sig = gain(_GRID_Z)
-    k = int(np.argmax(sig))
-    best_val, best_om = float(sig[k]), float(omegas[k])
+    k, best_val = gain.peak(_GRID_Z)
+    best_om = float(omegas[k])
     # Re-grid the neighbours of each maximum; only strict improvements move
     # the estimate, so the grid value stays a lower bound.
     while True:
@@ -209,10 +241,9 @@ def hinf_peak(Xm) -> tuple[float, float]:
         if hi - lo < 1e-13:
             return best_val, best_om
         omegas = lo + (hi - lo) * _ZOOM_STEPS
-        sig = gain(np.exp(1j * omegas))
-        k = int(np.argmax(sig))
-        if sig[k] > best_val:
-            best_val, best_om = float(sig[k]), float(omegas[k])
+        k, val = gain.peak(np.exp(1j * omegas))
+        if val > best_val:
+            best_val, best_om = val, float(omegas[k])
 
 
 def hinf_norm(Xm) -> float:

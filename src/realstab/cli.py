@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import freq_response, matrix_poles, small_gain_margin, stability_verdict
+from .analysis import freq_response, hinf_peak, matrix_poles, stability_verdict
 from .errors import (
     DimensionMismatch,
     EmptyMask,
@@ -154,7 +154,8 @@ def cmd_margin(args) -> int:
     started = time.perf_counter()
     doc = load_system(args.system)
     operand = robust_condition(_verified_section(doc, args.condition), args.condition)[2]
-    epsilon = small_gain_margin(operand)
+    peak = hinf_peak(operand)
+    epsilon = math.inf if operand.is_zero() else 1.0 / peak[0]
     kind = "small-gain-IOP" if args.condition == "cor3" else "small-gain-SLS-OF"
     norm = 0.0 if math.isinf(epsilon) else 1.0 / epsilon
     verdict = stability_verdict(operand)
@@ -171,7 +172,7 @@ def cmd_margin(args) -> int:
             result["probe"] = {"note": "infinite margin: nothing to probe"}
             print("probe: infinite margin, nothing to probe")
         else:
-            probe = worst_case_delta(operand, epsilon)
+            probe = worst_case_delta(operand, epsilon, peak)
             result["probe"] = {
                 "note": probe.note,
                 "conclusive": probe.conclusive,

@@ -91,13 +91,24 @@ def _pairs(obj, what: str) -> list:
     return obj
 
 
+def _count(obj, what: str) -> int:
+    """obj as a count: a JSON integer, not a bool, float or string."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise SchemaError(f"{what} must be an integer, got {obj!r}")
+    return obj
+
+
+def _label(obj, what: str) -> str:
+    if not isinstance(obj, str):
+        raise SchemaError(f"{what} label must be a string, got {obj!r}")
+    return obj
+
+
 def _parse_blocks(obj, axis: str):
     if obj is None:
         return None
-    try:
-        return tuple((str(label), int(size)) for label, size in _pairs(obj, f"{axis} blocks"))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {axis} block list {obj!r}") from exc
+    return tuple((_label(label, f"{axis} block"), _count(size, f"{axis} block size"))
+                 for label, size in _pairs(obj, f"{axis} blocks"))
 
 
 def parse_tm(obj, require_blocks: bool = False) -> TransferMatrix:
@@ -111,11 +122,7 @@ def parse_tm(obj, require_blocks: bool = False) -> TransferMatrix:
     if any(len(r) != cols for r in grid):
         raise SchemaError("'entries' rows are ragged")
     for key, count in (("rows", rows), ("cols", cols)):
-        try:
-            matches = key not in obj or int(obj[key]) == count
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{key!r} must be an integer, got {obj[key]!r}") from exc
-        if not matches:
+        if key in obj and _count(obj[key], repr(key)) != count:
             raise SchemaError(f"{key!r} does not match the entry grid")
     entries = [parse_ratfun(e) for row in grid for e in row]
     row_blocks = _parse_blocks(obj.get("row_blocks"), "row")
@@ -335,7 +342,8 @@ def load_perturbation(path) -> AdditivePerturbation:
         raise SchemaError("perturbation file needs a 'delta' matrix")
     delta = parse_tm(data["delta"], require_blocks=True)
     if "block_mask" in data:
-        mask = frozenset((str(a), str(b)) for a, b in _pairs(data["block_mask"], "'block_mask'"))
+        mask = frozenset((_label(a, "'block_mask'"), _label(b, "'block_mask'"))
+                         for a, b in _pairs(data["block_mask"], "'block_mask'"))
     else:
         mask = frozenset((ra, cb) for ra, _ in delta.row_blocks
                          for cb, _ in delta.col_blocks)

@@ -325,8 +325,11 @@ class TightnessProbe:
     note: str
 
 
-def worst_case_delta(U_hat: TransferMatrix, epsilon: float) -> TightnessProbe:
+def worst_case_delta(U_hat: TransferMatrix, epsilon: float,
+                     peak: tuple[float, float]) -> TightnessProbe:
     """Constant perturbation of norm epsilon aligned with the peak of U_hat.
+
+    peak is hinf_peak(U_hat), the (gain, omega) pair the margin came from.
 
     When the peak sits at omega = 0 or pi the singular vectors are real and
     the probe drives det(I - Delta U_hat) to a root on the unit circle
@@ -339,7 +342,7 @@ def worst_case_delta(U_hat: TransferMatrix, epsilon: float) -> TightnessProbe:
         raise InfiniteMargin("zero map has an infinite margin; nothing to probe")
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise InfiniteMargin("probe needs a finite positive margin")
-    peak, omega = hinf_peak(U_hat)
+    gain, omega = peak
     real_peak = omega < 1e-6 or math.pi - omega < 1e-6
     z0 = 1.0 if omega < math.pi / 2 else -1.0
     point = complex(z0, 0.0) if real_peak else complex(math.cos(omega), math.sin(omega))
@@ -376,6 +379,6 @@ def worst_case_delta(U_hat: TransferMatrix, epsilon: float) -> TightnessProbe:
     else:
         note = "complex-peak: tightness probe inconclusive"
         conclusive = False
-    return TightnessProbe(delta=delta, peak_gain=peak, peak_omega=omega,
+    return TightnessProbe(delta=delta, peak_gain=gain, peak_omega=omega,
                           witness_root=witness, boundary_distance=distance,
                           conclusive=conclusive, note=note)

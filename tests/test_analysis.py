@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from realstab.analysis import (
+    HINF_GRID,
+    ZOOM_POINTS,
+    _GainEvaluator,
+    _on_circle,
     _sigma_max,
     freq_response,
     hinf_norm,
     hinf_peak,
     matrix_poles,
     poles,
+    roots_of,
     stability_verdict,
 )
 from realstab.errors import NotStable, PoleOnGrid
@@ -122,6 +127,84 @@ def test_sigma_max_closed_forms_match_svd(rows, cols):
     want = np.linalg.svd(vals, compute_uv=False)[:, 0]
     got = _sigma_max([vals[:, i, j] for i in range(rows) for j in range(cols)], rows, cols)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, 1e-300))
+
+
+def _reference_hinf_peak(X):
+    """hinf_peak with the stacked SVD at every point of the grid and of each zoom."""
+    coeffs = [(e.num.float_coeffs_desc(), e.den.float_coeffs_desc()) for e in X.entries]
+
+    def sigma(omegas):
+        zs = np.exp(1j * omegas)
+        vals = np.stack([_on_circle(n, zs) / _on_circle(d, zs) for n, d in coeffs], axis=1)
+        return np.linalg.svd(vals.reshape(len(zs), X.rows, X.cols), compute_uv=False)[:, 0]
+
+    omegas = np.linspace(0.0, math.pi, HINF_GRID)
+    sig = sigma(omegas)
+    k = int(np.argmax(sig))
+    best_val, best_om = float(sig[k]), float(omegas[k])
+    while True:
+        lo = float(omegas[max(k - 1, 0)])
+        hi = float(omegas[min(k + 1, len(omegas) - 1)])
+        if hi - lo < 1e-13:
+            return best_val, best_om
+        omegas = lo + (hi - lo) * np.linspace(0.0, 1.0, ZOOM_POINTS)
+        sig = sigma(omegas)
+        k = int(np.argmax(sig))
+        if sig[k] > best_val:
+            best_val, best_om = float(sig[k]), float(omegas[k])
+
+
+def _shared_denominator_matrix(rng, rows, cols):
+    """Entries c f + d g over two stable f, g: at most three distinct denominators."""
+    f, g = _stable_entry(rng), _stable_entry(rng)
+    return TransferMatrix(rows, cols, [rng.randint(-2, 2) * f + rng.randint(-2, 2) * g
+                                       for _ in range(rows * cols)])
+
+
+def test_pruned_peak_equals_full_grid_reference(rng):
+    for n in range(3, 7):
+        for rows, cols in ((n, n), (n, 3), (3, n)):
+            own = TransferMatrix(rows, cols, [_stable_entry(rng) for _ in range(rows * cols)])
+            for X in (own, _shared_denominator_matrix(rng, rows, cols)):
+                assert hinf_peak(X) == _reference_hinf_peak(X)
+                assert matrix_poles(X) == sorted(
+                    (p for e in X.entries for p in roots_of(e.den)),
+                    key=lambda c: (c.real, c.imag))
+
+
+def test_pruned_peak_constant_matrix_takes_first_index():
+    # Every point ties, so every bound ties and the first grid point wins.
+    X = TransferMatrix.from_rows([[rf(Fraction(i - 2 * j, 3)) for j in range(4)]
+                                  for i in range(3)])
+    assert _GainEvaluator(X).peak(np.exp(1j * np.linspace(0.0, math.pi, HINF_GRID)))[0] == 0
+    assert hinf_peak(X) == _reference_hinf_peak(X)
+    assert hinf_peak(X)[1] == 0.0
+
+
+@pytest.mark.parametrize("den", [Z - Fraction(9, 10), Z * Z - Z + Fraction(9801, 10000),
+                                 Z * Z + Fraction(81, 100)])
+def test_pruned_peak_rank_one_bound_is_tight(den):
+    # u v^T f has sigma_max = ||u|| ||v|| |f| = Frobenius norm at every point,
+    # so the bound meets the floor up to rounding and the slack must keep it.
+    f = rf(1, den)
+    u, v = (1, -2, 3, Fraction(1, 3)), (Fraction(2, 5), 1, -1, Fraction(7, 3))
+    X = TransferMatrix.from_rows([[ui * vj * f for vj in v] for ui in u])
+    assert hinf_peak(X) == _reference_hinf_peak(X)
+
+
+def test_pruned_peak_when_frobenius_and_sigma_maxima_differ():
+    # diag(a, b, b): |a| is 2 at omega = 0 and 1.5 at pi, |b| is 0.1 at 0 and
+    # 1.5 at pi. The Frobenius norm peaks at pi (sqrt(6.75)), sigma_max at 0 (2).
+    a = rf(Fraction(7, 4) * Z + Fraction(1, 4), Z)
+    b = rf(Fraction(4, 5) * Z - Fraction(7, 10), Z)
+    X = TransferMatrix.from_rows([[a, rf(0), rf(0)], [rf(0), b, rf(0)], [rf(0), rf(0), b]])
+    zs = np.exp(1j * np.linspace(0.0, math.pi, HINF_GRID))
+    frob = np.linalg.norm(_GainEvaluator(X).matrices(zs), axis=(1, 2))
+    assert int(np.argmax(frob)) == HINF_GRID - 1
+    assert _GainEvaluator(X).peak(zs)[0] == 0
+    value, omega = hinf_peak(X)
+    assert (value, omega) == _reference_hinf_peak(X)
+    assert abs(value - 2.0) < 1e-12 and omega == 0.0
 
 
 def test_hinf_peak_of_rotated_resonance():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from realstab import cli, uncertainty
+from realstab import analysis, cli, uncertainty
+from realstab.analysis import hinf_peak, small_gain_margin
 from realstab.cli import main
 from realstab.errors import IdentityCheckFailed, SingularPerturbedLoop
 from realstab.fileio import (
@@ -18,12 +19,13 @@ from realstab.fileio import (
     load_system,
     perturbation_to_json,
     save_system,
+    tm_to_json,
 )
 from realstab.iop import iop_margin, iop_verify
 from realstab.matrix import StateSpace, TransferMatrix
 from realstab.realization import AdditivePerturbation, perturbed_stability, stability_matrix
 from realstab.sls import sls_of_margin, sls_of_verify
-from realstab.uncertainty import UncertaintySpec, sample_delta
+from realstab.uncertainty import UncertaintySpec, robust_condition, sample_delta, worst_case_delta
 
 from conftest import HALF, Z, rf
 
@@ -162,6 +164,20 @@ def test_malformed_matrix_exit_64(tmp_path, capsys, field, value):
     system = write_fig4(tmp_path)
     data = json.loads(system.read_text())
     data["plant"][field] = value
+    system.write_text(json.dumps(data))
+    assert main(["analyze", str(system)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [("rows", 1.7), ("cols", True),
+                                          ("row_blocks", [["s", 1.9]]),
+                                          ("col_blocks", [["s", "1"]]),
+                                          ("row_blocks", [[3, 1]])])
+def test_malformed_counts_exit_64(tmp_path, capsys, field, value):
+    system = write_raw_scalar(tmp_path, rf(Fraction(1, 3), Z))
+    data = json.loads(system.read_text())
+    data["realization"][field] = value
     system.write_text(json.dumps(data))
     assert main(["analyze", str(system)]) == 64
     err = capsys.readouterr().err
@@ -333,6 +349,42 @@ def test_margin_cor8_after_sls_of_synthesis(tmp_path):
     assert abs(data["result"]["epsilon"] - sls_of_margin(maps)) < 1e-9
     assert data["certificate"]["kind"] == "small-gain-SLS-OF"
     assert main(["margin", str(system), "--condition", "cor8"]) == 66
+
+
+def test_margin_cor8_probe_takes_one_peak(tmp_path, monkeypatch):
+    # Order 2 makes the SLS block 3 x 3, so the peak runs through the stacked SVD.
+    ss = StateSpace([[HALF, 0], [1, Fraction(1, 4)]], [[1], [0]], [[0, 1]], [[0]])
+    doc = SystemDocument(kind="output-feedback", state_space=ss,
+                         controller=TransferMatrix(1, 1, [rf(Fraction(-1, 4))]))
+    system = tmp_path / "of2.json"
+    save_system(doc, system)
+    out = tmp_path / "of2_sls.json"
+    assert main(["synthesize", str(system), "--family", "sls-of", "--out", str(out)]) == 0
+    operand = robust_condition(doc_sls_of(load_system(out)), "cor8")[2]
+    assert min(operand.rows, operand.cols) == 3
+    epsilon = small_gain_margin(operand)
+    want = worst_case_delta(operand, epsilon, hinf_peak(operand))
+
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return hinf_peak(X)
+    for module in (analysis, cli, uncertainty):
+        monkeypatch.setattr(module, "hinf_peak", counted)
+    report = tmp_path / "margin.json"
+    assert main(["margin", str(out), "--condition", "cor8", "--probe",
+                 "--report", str(report)]) == 0
+    assert len(calls) == 1
+    result = load_report(report)["result"]
+    assert result["epsilon"] == epsilon and result["peak_gain"] == 1.0 / epsilon
+    assert result["probe"] == {
+        "note": want.note, "conclusive": want.conclusive, "peak_omega": want.peak_omega,
+        "witness_root": None if want.witness_root is None else
+            [want.witness_root.real, want.witness_root.imag],
+        "boundary_distance": want.boundary_distance,
+        "delta": tm_to_json(want.delta),
+    }
 
 
 def synthesized(tmp_path, family):

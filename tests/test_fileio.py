@@ -84,7 +84,9 @@ def test_coefficients_must_be_lists(entry):
         parse_ratfun(entry)
 
 
-@pytest.mark.parametrize("key, value", [("rows", [1]), ("cols", {"n": 1}), ("rows", "one")])
+@pytest.mark.parametrize("key, value", [("rows", [1]), ("cols", {"n": 1}), ("rows", "one"),
+                                        ("rows", 1.7), ("rows", 1.0), ("cols", True),
+                                        ("rows", "1")])
 def test_tm_counts_must_be_integers(key, value):
     with pytest.raises(SchemaError, match=f"'{key}' must be an integer"):
         parse_tm({key: value, "entries": [["1"]]})
@@ -94,6 +96,43 @@ def test_tm_counts_must_be_integers(key, value):
 def test_tm_blocks_must_be_pairs(blocks):
     with pytest.raises(SchemaError):
         parse_tm({"entries": [["1"]], "row_blocks": blocks, "col_blocks": [["s", 1]]})
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([["y", 1.9]], "row block size must be an integer"),
+    ([["y", 1.0]], "row block size must be an integer"),
+    ([["u", True]], "row block size must be an integer"),
+    ([["u", "1"]], "row block size must be an integer"),
+    ([[3, 1]], "row block label must be a string"),
+    ([[None, 1]], "row block label must be a string"),
+])
+def test_tm_block_sizes_and_labels_are_typed(blocks, message):
+    # int() and str() would read each of these as the block ("y", 1), ("u", 1) or ("3", 1).
+    with pytest.raises(SchemaError, match=message):
+        parse_tm({"entries": [["1"]], "row_blocks": blocks, "col_blocks": [["s", 1]]})
+
+
+def _raw_2x2_json() -> dict:
+    blocks = (("y", 1), ("u", 1))
+    doc = SystemDocument(kind="raw-realization",
+                         realization_matrix=TransferMatrix(
+                             2, 2, [rf(0), rf(HALF, Z), rf(1), rf(0)], blocks, blocks))
+    return system_to_json(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rows", 2.0), ("cols", 2.9), ("cols", "2"),
+    ("row_blocks", [["y", 1.9], ["u", True]]),
+    ("col_blocks", [["y", 1], ["u", "1"]]),
+    ("col_blocks", [["y", 1], [3, 1]]),
+])
+def test_malformed_counts_do_not_load(tmp_path, field, value):
+    data = _raw_2x2_json()
+    data["realization"][field] = value
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_system(path)
 
 
 def _plant_controller_doc():
@@ -229,6 +268,18 @@ def test_malformed_plant_raises_schema_error(tmp_path, field, value):
     path.write_text(json.dumps(data))
     with pytest.raises(SchemaError):
         load_system(path)
+
+
+@pytest.mark.parametrize("mask", [[["y", 1]], [[True, "u"]]])
+def test_perturbation_mask_labels_must_be_strings(tmp_path, mask):
+    blocks = (("y", 1), ("u", 1))
+    delta = TransferMatrix(2, 2, [rf(0), rf(HALF, Z), rf(0), rf(0)], blocks, blocks)
+    payload = {"version": "realstab/1", "kind": "perturbation", "delta": tm_to_json(delta),
+               "block_mask": mask}
+    path = tmp_path / "delta.json"
+    path.write_text(dumps_canonical(payload))
+    with pytest.raises(SchemaError, match="'block_mask' label must be a string"):
+        load_perturbation(path)
 
 
 def test_perturbation_default_mask(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from realstab import uncertainty
-from realstab.analysis import StabilityVerdict, hinf_norm, stability_verdict
+from realstab.analysis import StabilityVerdict, hinf_norm, hinf_peak, stability_verdict
 from realstab.errors import (
     DimensionMismatch,
     EmptyMask,
@@ -291,7 +291,7 @@ def test_parallel_evaluation_matches_sequential():
 
 def test_worst_case_scalar_fixture():
     quad = scalar_quad()
-    probe = worst_case_delta(quad.U, iop_margin(quad))
+    probe = worst_case_delta(quad.U, iop_margin(quad), hinf_peak(quad.U))
     assert probe.delta == TransferMatrix.identity(1)
     assert probe.conclusive
     assert probe.boundary_distance <= 1e-6
@@ -300,7 +300,7 @@ def test_worst_case_scalar_fixture():
 
 def test_worst_case_constant_map():
     U = TransferMatrix(1, 1, [rf(Fraction(-1, 2))])
-    probe = worst_case_delta(U, 2.0)
+    probe = worst_case_delta(U, 2.0, hinf_peak(U))
     assert abs(abs(probe.delta[0, 0].constant_value()) - 2) == 0
     assert probe.boundary_distance <= 1e-6
 
@@ -308,7 +308,7 @@ def test_worst_case_constant_map():
 def test_worst_case_peak_at_pi():
     # 1/(z + 1/2) peaks at omega = pi with value 2
     U = TransferMatrix(1, 1, [rf(1, Z + HALF)])
-    probe = worst_case_delta(U, 1.0 / hinf_norm(U))
+    probe = worst_case_delta(U, 1.0 / hinf_norm(U), hinf_peak(U))
     assert abs(probe.peak_omega - math.pi) < 1e-6
     assert probe.conclusive
     assert probe.boundary_distance <= 1e-6
@@ -317,15 +317,16 @@ def test_worst_case_peak_at_pi():
 
 def test_worst_case_complex_peak_inconclusive():
     U = TransferMatrix(1, 1, [rf(1, Z * Z + Fraction(81, 100))])
-    probe = worst_case_delta(U, 1.0 / hinf_norm(U))
+    probe = worst_case_delta(U, 1.0 / hinf_norm(U), hinf_peak(U))
     assert not probe.conclusive
     assert "complex-peak" in probe.note
 
 
 def test_worst_case_preconditions():
+    # The checks run before the peak is read, so any pair will do.
     with pytest.raises(NotStable):
-        worst_case_delta(TransferMatrix(1, 1, [rf(1, Z - 2)]), 1.0)
+        worst_case_delta(TransferMatrix(1, 1, [rf(1, Z - 2)]), 1.0, (1.0, 0.0))
     with pytest.raises(InfiniteMargin):
-        worst_case_delta(TransferMatrix.zeros(1, 1), 1.0)
+        worst_case_delta(TransferMatrix.zeros(1, 1), 1.0, (0.0, 0.0))
     with pytest.raises(InfiniteMargin):
-        worst_case_delta(TransferMatrix.identity(1), math.inf)
+        worst_case_delta(TransferMatrix.identity(1), math.inf, (1.0, 0.0))
