@@ -225,7 +225,8 @@ def hinf_peak(Xm) -> tuple[float, float]:
     """(peak gain, peak frequency) of a stable transfer matrix.
 
     Raises NotStable when the stability precondition fails; the peak gain
-    is undefined off the stable class.
+    is undefined off the stable class. Raises ValueError when a nonzero
+    matrix's peak underflows to 0.0.
     """
     Xm = _as_matrix(Xm)
     require_stable(Xm, "peak gain undefined: matrix")
@@ -239,6 +240,8 @@ def hinf_peak(Xm) -> tuple[float, float]:
         lo = float(omegas[max(k - 1, 0)])
         hi = float(omegas[min(k + 1, len(omegas) - 1)])
         if hi - lo < 1e-13:
+            if best_val == 0.0 and not Xm.is_zero():
+                raise ValueError("peak gain of a nonzero matrix underflows to 0.0")
             return best_val, best_om
         omegas = lo + (hi - lo) * _ZOOM_STEPS
         k, val = gain.peak(np.exp(1j * omegas))

@@ -192,10 +192,6 @@ class TransferMatrix:
         return cls(rows, cols, [z] * (rows * cols), row_blocks, col_blocks)
 
     @classmethod
-    def scalar(cls, value) -> "TransferMatrix":
-        return cls(1, 1, [value])
-
-    @classmethod
     def constant(cls, grid, row_blocks=None, col_blocks=None) -> "TransferMatrix":
         """Matrix of constants from a nested sequence of exact rationals."""
         return cls.from_rows([[RationalFunction(v) for v in row] for row in grid],
@@ -306,8 +302,6 @@ class TransferMatrix:
         if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
             return self.scale(other)
         return NotImplemented
-
-    __matmul__ = __mul__
 
     def transpose(self) -> "TransferMatrix":
         ents = [self[j, i] for i in range(self.cols) for j in range(self.rows)]

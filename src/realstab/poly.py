@@ -15,6 +15,7 @@ the numeric analysis layer (root finding, frequency sweeps).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -60,10 +61,6 @@ class Polynomial:
         n = _int_strip([c.numerator * (d // c.denominator) for c in cs])
         self._n = n
         self._d = d if n[-1] else 1
-
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls((value,))
 
     @classmethod
     def z(cls) -> "Polynomial":
@@ -268,10 +265,17 @@ class Polynomial:
         """Descending-power float coefficients for numpy consumption.
 
         Integer true division is correctly rounded, so each value equals
-        float() of the corresponding Fraction coefficient.
+        float() of the corresponding Fraction coefficient. A coefficient
+        beyond the float range raises ValueError.
         """
         d = self._d
-        return [c / d for c in reversed(self._n)]
+        try:
+            return [c / d for c in reversed(self._n)]
+        except OverflowError:
+            pass
+        k, c = max(enumerate(self._n), key=lambda kc: abs(kc[1]))
+        raise ValueError(f"coefficient of z^{k}, about {Decimal(c) / d:.6g}, "
+                         "is outside the float range")
 
 
 _ZERO = _raw([0], 1)

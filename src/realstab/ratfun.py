@@ -52,10 +52,6 @@ class RationalFunction:
         obj.num, obj.den = monic_pair(num, den)
         return obj
 
-    @classmethod
-    def z(cls) -> "RationalFunction":
-        return cls(Polynomial.z())
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero

@@ -11,8 +11,6 @@ certified conditions quantify over sets containing zero).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -61,8 +59,8 @@ class UncertaintySpec:
     def __post_init__(self):
         object.__setattr__(self, "block_mask",
                            frozenset((str(a), str(b)) for a, b in self.block_mask))
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.sample_order < 0:
             raise ValueError("sample order must be nonnegative")
 
@@ -153,7 +151,10 @@ def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, flo
     if raw.is_zero():
         return raw, 0.0
     base = hinf_peak(raw)[0]
-    scale = Fraction(fill * spec.radius / base).limit_denominator(_SCALE_GRID)
+    target = fill * spec.radius / base
+    if not math.isfinite(target):
+        raise ValueError(f"radius {spec.radius} overflows when a draw is rescaled")
+    scale = Fraction(target).limit_denominator(_SCALE_GRID)
     scaled = raw.scale(RationalFunction(scale))
     return scaled.with_blocks(row_blocks, col_blocks), float(scale) * base
 
@@ -207,51 +208,23 @@ def _evaluate_sample(payload, delta: TransferMatrix,
     return verdict, hook is not None and not hook(R + delta, S_delta)
 
 
-_worker_context = None  # a pool worker's (payload, spec, shape, hook), set once
-
-
-def _init_worker(*context) -> None:
-    global _worker_context
-    _worker_context = context
-
-
-def _run_sample(index: int, context=None) -> tuple[int, str, tuple, float, bool]:
-    payload, spec, shape, hook = context or _worker_context
-    if index == 0:
-        rows, cols = (sum(s for _, s in blocks) for blocks in shape)
-        delta, norm = TransferMatrix.zeros(rows, cols, *shape), 0.0
-    else:
-        delta, norm = _sample_with_norm(replace(spec, seed=spec.seed + index), shape)
-    verdict, violated = _evaluate_sample(payload, delta, hook)
-    return index, verdict.status, verdict.witnesses, norm, violated
-
-
-def default_jobs() -> int:
-    """Worker count for sample evaluation, capped by REALSTAB_THREADS."""
-    raw = os.environ.get("REALSTAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
-                        n_jobs: int | None = None, constraint=None) -> Certificate:
+                        constraint=None) -> Certificate:
     """Empirically check a robustness condition over n sampled perturbations.
 
     nominal is a RealizationSystem (lemma2-direct), an IopQuadruple (cor3,
     cor9), or an SlsOutputFeedback (cor7). The mask is checked against the
     condition's Delta shape before any sample (EmptyMask, DimensionMismatch).
     Sample i is drawn from seed + i; sample 0 is the zero perturbation.
+    Samples are evaluated one at a time, in index order, in this process.
     Per-sample singularities are recorded as unstable, not raised. When the
-    checker has an analytic margin, any non-stable sample strictly below it
-    raises SoundnessViolation, which would indicate a bug in this package.
+    checker has an analytic margin, the first non-stable sample strictly
+    below it raises SoundnessViolation before any later sample is drawn;
+    that would indicate a bug in this package.
 
-    constraint (lemma2-direct only) is a predicate called once per sample
+    constraint (lemma2-direct only) is any callable, called once per sample
     as constraint(R + Delta, S(Delta)); the samples it rejects, plus the
-    singular ones, are counted in sample_stats.constraint_violations. With
-    more than one job the samples run in worker processes, so the
-    predicate must be picklable (an importable module-level function).
+    singular ones, are counted in sample_stats.constraint_violations.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -268,43 +241,40 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
         rows, cols, payload = robust_condition(nominal, checker)
         shape, margin = (rows, cols), small_gain_margin(payload)
     _check_mask(spec.block_mask, shape)
-    jobs = default_jobs() if n_jobs is None else max(1, n_jobs)
-    context = (payload, spec, shape, constraint)
-    if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=context) as pool:
-            results = list(pool.map(_run_sample, range(n),
-                                    chunksize=max(1, n // (jobs * 4))))
-    else:
-        results = [_run_sample(i, context) for i in range(n)]
 
     counts = {STABLE: 0, MARGINAL: 0, UNSTABLE: 0}
-    worst: dict[str, tuple[float, int, tuple]] = {}
+    worst: dict[str, tuple[float, tuple]] = {}  # first minimum-norm sample per bucket
     max_norm = 0.0
-    for index, status, witnesses, norm, _ in results:
-        bucket = status if status in counts else UNSTABLE
+    violations = 0
+    for index in range(n):
+        if index == 0:
+            sizes = (sum(s for _, s in blocks) for blocks in shape)
+            delta, norm = TransferMatrix.zeros(*sizes, *shape), 0.0
+        else:
+            delta, norm = _sample_with_norm(replace(spec, seed=spec.seed + index), shape)
+        verdict, violated = _evaluate_sample(payload, delta, constraint)
+        violations += violated
+        bucket = verdict.status if verdict.status in counts else UNSTABLE
         counts[bucket] += 1
         max_norm = max(max_norm, norm)
         if bucket != STABLE:
             if margin is not None and norm < margin:
-                raise SoundnessViolation(
-                    f"sample {index} with norm {norm} below margin {margin} was {status}")
-            prev = worst.get(bucket)
-            if prev is None or (norm, index) < prev[:2]:
-                worst[bucket] = (norm, index, witnesses)
+                raise SoundnessViolation(f"sample {index} with norm {norm} below "
+                                         f"margin {margin} was {verdict.status}")
+            if bucket not in worst or norm < worst[bucket][0]:
+                worst[bucket] = (norm, verdict.witnesses)
 
     if not worst:
         verdict = StabilityVerdict(STABLE)
         worst_norm = max_norm
     else:
         status = UNSTABLE if counts[UNSTABLE] else MARGINAL
-        worst_norm, _, witnesses = worst[status]
+        worst_norm, witnesses = worst[status]
         verdict = StabilityVerdict(status, witnesses)
     stats = SampleStats(n_samples=n, n_stable=counts[STABLE],
                         n_marginal=counts[MARGINAL], n_unstable=counts[UNSTABLE],
                         worst_sample_norm=worst_norm,
-                        constraint_violations=None if constraint is None else
-                        sum(r[4] for r in results))
+                        constraint_violations=None if constraint is None else violations)
     return Certificate(kind="monte-carlo", margin=margin, verdict=verdict,
                        condition_ref=checker, sample_stats=stats, seed=spec.seed)
 

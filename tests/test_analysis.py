@@ -16,6 +16,7 @@ from realstab.analysis import (
     matrix_poles,
     poles,
     roots_of,
+    small_gain_margin,
     stability_verdict,
 )
 from realstab.errors import NotStable, PoleOnGrid
@@ -82,6 +83,15 @@ def test_hinf_peak_at_dc():
 
 def test_hinf_constant():
     assert abs(hinf_norm(TransferMatrix(1, 1, [rf(Fraction(-7, 2))])) - 3.5) < 1e-12
+
+
+def test_peak_gain_underflow_is_an_error():
+    tiny = TransferMatrix(1, 1, [rf(Fraction(1, 10 ** 400), Z)])
+    with pytest.raises(ValueError, match="underflows"):
+        hinf_peak(tiny)
+    with pytest.raises(ValueError, match="underflows"):
+        small_gain_margin(tiny)
+    assert hinf_peak(TransferMatrix.zeros(1, 1)) == (0.0, 0.0)
 
 
 def test_hinf_first_order():

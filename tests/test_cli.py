@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -471,6 +475,14 @@ def test_sample_oversized_radius_reports_exit_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("radius, n", [("inf", 3), ("nan", 3), ("1.7e308", 10)])
+def test_sample_radius_beyond_float_range_exit_64(tmp_path, capsys, radius, n):
+    out = synthesized(tmp_path, "iop")
+    assert main(["sample", str(out), "--radius", radius, "--n", str(n), "--seed", "0",
+                 "--condition", "cor3"]) == 64
+    assert "radius" in capsys.readouterr().err
+
+
 def test_sample_lemma2_direct_with_constraint_hook(tmp_path):
     system = write_raw_scalar(tmp_path, rf(Fraction(1, 4), Z))
     report = tmp_path / "sample.json"
@@ -481,7 +493,6 @@ def test_sample_lemma2_direct_with_constraint_hook(tmp_path):
 
     hook_mod = tmp_path / "hookmod.py"
     hook_mod.write_text("def always_true(r, s):\n    return True\n")
-    import sys
     sys.path.insert(0, str(tmp_path))
     try:
         code = main(["sample", str(system), "--radius", "0.2", "--n", "20",
@@ -514,7 +525,6 @@ def lemma2_sample_argv(system, n, *extra):
 
 def test_sample_constraint_draws_and_solves_each_sample_once(tmp_path, monkeypatch):
     write_dc_gain_hook(tmp_path, monkeypatch)
-    monkeypatch.setenv("REALSTAB_THREADS", "1")  # count calls in this process
     system = write_fig4(tmp_path)
     calls = {"draw": 0, "solve": 0}
     draw, solve = uncertainty._sample_with_norm, uncertainty.perturbed_stability
@@ -600,6 +610,44 @@ def test_freqresp_deterministic_bytes(tmp_path):
     main(["freqresp", str(system), "--points", "33", "--out", str(out1)])
     main(["freqresp", str(system), "--points", "33", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_coefficient_beyond_float_range_exit_64(tmp_path, capsys):
+    doc = SystemDocument(kind="plant-controller",
+                         plant=TransferMatrix(1, 1, [rf(1, Z + 10 ** 400)]),
+                         controller=TransferMatrix(1, 1, [rf(HALF)]))
+    system = tmp_path / "wide.json"
+    save_system(doc, system)
+    assert main(["analyze", str(system)]) == 64
+    assert "outside the float range" in capsys.readouterr().err
+    assert main(["freqresp", str(system), "--points", "3",
+                 "--out", str(tmp_path / "resp.csv")]) == 64
+    assert "outside the float range" in capsys.readouterr().err
+
+
+def test_margin_of_underflowing_map_exit_64(tmp_path, capsys):
+    doc = SystemDocument(kind="plant-controller",
+                         plant=TransferMatrix(1, 1, [rf(1, Z)]),
+                         controller=TransferMatrix(1, 1, [rf(Fraction(1, 10 ** 400))]))
+    system = tmp_path / "tiny.json"
+    save_system(doc, system)
+    out = tmp_path / "tiny_iop.json"
+    assert main(["synthesize", str(system), "--family", "iop", "--out", str(out)]) == 0
+    quad = doc_iop(load_system(out))
+    assert iop_verify(quad.G, quad)
+    assert main(["margin", str(out), "--condition", "cor3"]) == 64
+    assert "underflows" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    code = ("import sys, realstab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_freqresp_pole_on_grid_exit_6(tmp_path):

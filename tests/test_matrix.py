@@ -146,7 +146,7 @@ def test_statespace_transfer_with_feedthrough():
 
 
 def test_pickle_round_trip(rng):
-    # The REALSTAB_THREADS > 1 process pool pickles these into its workers.
+    # Exact values survive pickling: equal, equally hashed, same partition.
     X = random_proper_tm(rng, 2, 3)
     X = X.with_blocks((("a", 1), ("b", 1)), (("c", 2), ("d", 1)))
     wide = rf(Z * Fraction(1, 2 ** 40) - Fraction(3, 2 ** 24), Z * Z - HALF)

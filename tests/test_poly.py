@@ -101,6 +101,12 @@ def test_evaluation():
     assert p.float_coeffs_desc() == [1.0, 0.0, 1.0]
 
 
+def test_float_coeffs_outside_the_float_range():
+    with pytest.raises(ValueError, match=r"z\^1, about -1\.00000e\+400"):
+        Polynomial([1, -10 ** 400, 3]).float_coeffs_desc()
+    assert Polynomial([Fraction(1, 10 ** 400)]).float_coeffs_desc() == [0.0]
+
+
 def test_arithmetic_leaves_operands_unchanged():
     # Results may share an operand's numerator list, so no operation may
     # change a stored list; the shared zero that divmod returns included.

@@ -12,6 +12,7 @@ from realstab.errors import (
     InfiniteMargin,
     NotStable,
     SingularPerturbedLoop,
+    SoundnessViolation,
 )
 from realstab.iop import iop_from_loop, iop_margin, iop_robust_check
 from realstab.matrix import StateSpace, TransferMatrix
@@ -85,8 +86,9 @@ def test_masked_blocks_only():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        UncertaintySpec(block_mask={("y", "u")}, radius=0.0)
+    for radius in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            UncertaintySpec(block_mask={("y", "u")}, radius=radius)
     with pytest.raises(ValueError):
         UncertaintySpec(block_mask={("y", "u")}, radius=1.0, sample_order=-1)
 
@@ -265,28 +267,42 @@ def test_lemma2_direct_checker():
 
 
 def dc_gain_at_most_2(R_delta, S_delta):
-    """Constraint hook; module-level so worker processes can load it."""
+    """Constraint hook: reject a sample whose |S(Delta)[0, 0]| at z = 1 exceeds 2."""
     return abs(S_delta.evaluate(1.0)[0, 0]) <= 2.0
 
 
-def test_parallel_evaluation_matches_sequential():
-    quad = scalar_quad()
-    spec = UncertaintySpec(block_mask={("y", "u")}, radius=0.9, sample_order=1, seed=7)
-    seq = monte_carlo_certify(quad, spec, 40, "cor3", n_jobs=1)
-    par = monte_carlo_certify(quad, spec, 40, "cor3", n_jobs=2)
-    assert seq == par
-
+def test_lemma2_direct_constraint_hook_counts_violations():
     loop = build_plant_controller(TransferMatrix(1, 1, [rf(1, Z)]),
                                   TransferMatrix(1, 1, [rf(HALF)]))
     spec = UncertaintySpec(block_mask={(a, b) for a, _ in loop.partition
                                        for b, _ in loop.partition},
                            radius=0.2, sample_order=1, seed=7)
-    seq = monte_carlo_certify(loop, spec, 40, "lemma2-direct", n_jobs=1,
-                              constraint=dc_gain_at_most_2)
-    par = monte_carlo_certify(loop, spec, 40, "lemma2-direct", n_jobs=2,
-                              constraint=dc_gain_at_most_2)
-    assert seq == par  # certificate and constraint_violations alike
-    assert 0 < seq.sample_stats.constraint_violations < 40
+    cert = monte_carlo_certify(loop, spec, 40, "lemma2-direct",
+                               constraint=dc_gain_at_most_2)
+    assert 0 < cert.sample_stats.constraint_violations < 40
+
+
+def test_soundness_violation_stops_at_the_first_bad_sample(monkeypatch):
+    quad = scalar_quad()
+    margin = iop_margin(quad)
+    calls = {"draw": 0, "evaluate": 0}
+
+    def draw(spec, shape):
+        calls["draw"] += 1
+        return TransferMatrix.zeros(1, 1, *shape), margin / 2
+
+    def evaluate(payload, delta, hook=None):
+        calls["evaluate"] += 1
+        if calls["evaluate"] <= 3:  # samples 0, 1 and 2
+            return StabilityVerdict("stable"), False
+        return StabilityVerdict("unstable", ((complex(2.0, 0.0), 2.0),)), False
+
+    monkeypatch.setattr(uncertainty, "_sample_with_norm", draw)
+    monkeypatch.setattr(uncertainty, "_evaluate_sample", evaluate)
+    spec = UncertaintySpec(block_mask={("y", "u")}, radius=margin, sample_order=1, seed=0)
+    with pytest.raises(SoundnessViolation, match="sample 3 "):
+        monte_carlo_certify(quad, spec, 10, "cor3")
+    assert calls == {"draw": 3, "evaluate": 4}
 
 
 def test_worst_case_scalar_fixture():
