@@ -20,7 +20,7 @@ from .analysis import (
 from .errors import RealstabError
 from .iop import IopQuadruple, iop_controller, iop_from_loop, iop_margin, \
     iop_robust_check, iop_verify
-from .matrix import StateSpace, TransferMatrix, block_matrix
+from .matrix import StateSpace, TransferMatrix, block_matrix, loop_determinant
 from .mu import mu_destab_test, mu_m_matrix
 from .poly import Polynomial
 from .ratfun import RationalFunction, canonicalize
@@ -37,6 +37,7 @@ from .realization import (
     perturbed_stability,
     raw_realization,
     robust_loop,
+    robust_verdict,
     stability_matrix,
     verify_rs_identity,
 )

@@ -10,7 +10,9 @@ Inverse, determinant and resolvent share one fraction-free elimination
 polynomials over one row scale, every elimination step divides exactly
 by the previous pivot, and each result entry is canonicalized once.
 ``product_is_identity`` decides X Y == I (or [I O], [I; O]) on the same
-cleared rows and columns without canonicalizing any product entry. On a
+cleared rows and columns without canonicalizing any product entry, and
+``loop_determinant`` takes det(I - D X) from one elimination of those
+residual rows without forming D X. On a
 2-core Xeon VM, I - M/4 with dense random proper entries of degree up to 2
 inverts in 0.3-1.1 s at 6 x 6, 1.8-6.8 s at 7 x 7 and 7-22 s at 8 x 8; at
 8 x 8 the elimination takes 0.3 s and the rest is the gcds that reduce the
@@ -350,6 +352,19 @@ class TransferMatrix:
         return out
 
 
+def _residuals(rows, cols):
+    """delta_ij l_i m_j - P_i . Q_j for cleared rows (P_i, l_i) of X and
+    columns (Q_j, m_j) of Y: (I - X Y)_ij times l_i m_j over Z[z], lazily
+    and in row-major order."""
+    for i, (P, l) in enumerate(rows):
+        for j, (Q, m) in enumerate(cols):
+            residual = _int_mul(l, m) if i == j else _I_ZERO
+            for a, b in zip(P, Q):
+                if a[-1] and b[-1]:
+                    residual = _int_sub(residual, _int_mul(a, b))
+            yield residual
+
+
 def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
     """True iff X Y has ones on its main diagonal and zeros everywhere else.
 
@@ -357,21 +372,38 @@ def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
     one [I; O]. Decided without canonicalizing any entry: with the rows of
     X cleared to (P_i, l_i) and the columns of Y to (Q_j, m_j),
     (X Y)_ij = P_i . Q_j / (l_i m_j), so the test
-    P_i . Q_j == delta_ij l_i m_j is exact.
+    P_i . Q_j == delta_ij l_i m_j is exact. Stops at the first nonzero
+    residual.
     """
     if X.cols != Y.rows:
         raise DimensionMismatch(f"cannot multiply {X.shape} by {Y.shape}")
     rows = [_cleared(X.row(i)) for i in range(X.rows)]
     cols = [_cleared(Y.entries[j::Y.cols]) for j in range(Y.cols)]
-    for i, (P, l) in enumerate(rows):
-        for j, (Q, m) in enumerate(cols):
-            residual = _int_mul(l, m) if i == j else _I_ZERO
-            for a, b in zip(P, Q):
-                if a[-1] and b[-1]:
-                    residual = _int_sub(residual, _int_mul(a, b))
-            if residual[-1]:
-                return False
-    return True
+    return not any(r[-1] for r in _residuals(rows, cols))
+
+
+def loop_determinant(D: TransferMatrix, X: TransferMatrix) -> RationalFunction:
+    """det(I - D X), exact, without forming D X.
+
+    With the rows of D cleared to (P_i, l_i) and all of X over one
+    denominator, X = Q / m, row i of I - D X times l_i m is
+    delta_ij l_i m - P_i . Q_j over Z[z]. One forward elimination of those
+    rows gives det(I - D X) = +-det / (prod(l_i) m^n), canonicalized once.
+    """
+    n = D.rows
+    if D.cols != X.rows or X.cols != n:
+        raise DimensionMismatch(f"{D.shape} and {X.shape} do not close a loop")
+    rows = [_cleared(D.row(i)) for i in range(n)]
+    Q, m = _cleared(X.entries)
+    cols = [(Q[j::n], m) for j in range(n)]
+    flat = list(_residuals(rows, cols))
+    det, swaps = _bareiss([flat[i * n:(i + 1) * n] for i in range(n)], n, jordan=False)
+    if det is None:
+        return RationalFunction(0)
+    scale = [(-1) ** swaps]
+    for _, l in rows:
+        scale = _int_mul(_int_mul(scale, l), m)
+    return RationalFunction(_canon(det, 1), _canon(scale, 1))
 
 
 def hstack(blocks: list[TransferMatrix]) -> TransferMatrix:

@@ -26,7 +26,13 @@ from .errors import (
     SingularMatrix,
     SingularPerturbedLoop,
 )
-from .matrix import StateSpace, TransferMatrix, block_matrix, product_is_identity
+from .matrix import (
+    StateSpace,
+    TransferMatrix,
+    block_matrix,
+    loop_determinant,
+    product_is_identity,
+)
 from .poly import Polynomial
 from .ratfun import RationalFunction
 
@@ -247,7 +253,7 @@ def apply_transformation(sys: RealizationSystem, S: TransferMatrix,
 
 
 def perturbed_loop(M: TransferMatrix, name: str) -> TransferMatrix:
-    """(I - M)^-1, the loop closed around M; every robust check inverts one.
+    """(I - M)^-1, the loop closed around M.
 
     Raises SingularPerturbedLoop(f"{name} is singular") when I - M is
     singular as a rational matrix.
@@ -269,6 +275,36 @@ def robust_loop(X: TransferMatrix, delta: TransferMatrix, name: str,
     require_stable(delta, what)
     psi = perturbed_loop(delta * X, name)
     return psi, stability_verdict(psi)
+
+
+def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
+                   what: str) -> StabilityVerdict:
+    """robust_loop's verdict, decided from det(I - Delta X) where it can be.
+
+    With Delta and X stable and proper, det(I - Delta X) = n/d is proper and
+    Psi = adj(I - Delta X) / det has no poles but the zeros of n and the
+    poles of Delta X; so Psi is stable iff deg n == deg d and every zero of
+    n lies strictly inside the unit circle (the generalized Nyquist /
+    small-gain argument: MacFarlane & Postlethwaite 1977; Zhou, Doyle &
+    Glover 1996, ch. 5 and 9). When 1/det is stable this returns stable
+    without forming Psi; every other sample returns robust_loop's verdict,
+    status and witnesses alike. X must be stable and proper, as the block
+    of a stable S is; Delta is checked as in robust_loop, and a zero
+    determinant raises the same SingularPerturbedLoop.
+
+    The zeros of n and the poles of Psi are rooted in floating point from
+    different polynomials, so the two routes could part only when such a
+    root lies within rounding of the 1 - 1e-9 boundary. Once the verdicts
+    are exact, they agree by the theorem.
+    """
+    require_stable(delta, what)
+    det = loop_determinant(delta, X)
+    if det.is_zero:
+        raise SingularPerturbedLoop(f"{name} is singular")
+    zeros = stability_verdict(det.inverse())
+    if zeros.is_stable:
+        return zeros
+    return robust_loop(X, delta, name, what)[1]
 
 
 def perturbed_stability(S_hat: TransferMatrix, delta,

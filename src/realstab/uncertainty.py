@@ -35,10 +35,15 @@ from .errors import (
     SoundnessViolation,
 )
 from .iop import IopQuadruple
-from .matrix import TransferMatrix
+from .matrix import TransferMatrix, loop_determinant
 from .poly import Polynomial
 from .ratfun import RationalFunction
-from .realization import RealizationSystem, perturbed_stability, robust_loop, stability_matrix
+from .realization import (
+    RealizationSystem,
+    perturbed_stability,
+    robust_verdict,
+    stability_matrix,
+)
 from .sls import SlsOutputFeedback
 
 CHECKERS = ("lemma2-direct", "cor3", "cor7", "cor9")
@@ -198,7 +203,7 @@ def _evaluate_sample(payload, delta: TransferMatrix,
     """Verdict of one sample (payload: X, or lemma2's (S_hat, R)) and its hook violation."""
     try:
         if isinstance(payload, TransferMatrix):
-            return robust_loop(payload, delta, "I - Delta*X", "Delta")[1], False
+            return robust_verdict(payload, delta, "I - Delta*X", "Delta"), False
         S_hat, R = payload
         S_delta = perturbed_stability(S_hat, delta)
         verdict = stability_verdict(S_delta)
@@ -328,8 +333,7 @@ def worst_case_delta(U_hat: TransferMatrix, epsilon: float,
     delta = TransferMatrix.constant(
         [[Fraction(float(epsilon * align[i, j])) for j in range(align.shape[1])]
          for i in range(align.shape[0])])
-    loop = TransferMatrix.identity(delta.rows) - delta * U_hat
-    det_fn = loop.determinant()
+    det_fn = loop_determinant(delta, U_hat)
     witness = None
     distance = None
     if det_fn.is_zero:

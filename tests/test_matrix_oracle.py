@@ -1,7 +1,8 @@
 """Differential tests of the exact matrix kernel against sympy.
 
 sympy's DomainMatrix over the field QQ(z) is the oracle for the inverse,
-the determinant, the resolvent and the identity-product check; hypothesis
+the determinant, the resolvent and the identity-product check, and the
+determinant is in turn the oracle for the loop determinant; hypothesis
 draws the matrices, with the 2^24 and 2^40 denominators the Monte-Carlo
 sampler produces and improper entries like those of zI - A. Both tools
 are test-only; the module is skipped when either is missing.
@@ -19,11 +20,12 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from realstab.errors import SingularMatrix  # noqa: E402
+from realstab.errors import DimensionMismatch, SingularMatrix  # noqa: E402
 from realstab.matrix import (  # noqa: E402
     StateSpace,
     TransferMatrix,
     _cleared,
+    loop_determinant,
     product_is_identity,
 )
 from realstab.poly import Polynomial  # noqa: E402
@@ -234,3 +236,54 @@ def test_rectangular_product_is_identity_matches_sympy(M, r, c, index, bump):
         shifted = M.submatrix((1, n), (0, n))
         assert not product_is_identity(shifted, inv)
         assert oracle(shifted) * oracle(inv) != DomainMatrix.eye((n - 1, n), QZ).to_dense()
+
+
+@st.composite
+def loops(draw):
+    """D (n x k) and X (k x n): zero rows of D, columns of X over their own
+    denominators, and a row j of D with D_j . X_j = 1, which zeroes the
+    pivot (j, j) of I - D X, or with every other row zero makes it singular."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    D = draw(st.lists(ratfuns, min_size=n * k, max_size=n * k))
+    X = draw(st.lists(ratfuns, min_size=k * n, max_size=k * n))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        D[i * k:(i + 1) * k] = [RationalFunction(0)] * k
+    if draw(st.booleans()):
+        dens = draw(st.lists(polys(2).filter(lambda p: not p.is_zero), min_size=n, max_size=n))
+        nums = draw(st.lists(polys(2), min_size=k * n, max_size=k * n))
+        X = [RationalFunction(num, dens[e % n]) for e, num in enumerate(nums)]
+    j = draw(st.integers(0, n - 1))
+    column = X[j::n]
+    p = next((p for p, e in enumerate(column) if not e.is_zero), None)
+    if p is not None and draw(st.booleans()):
+        if draw(st.booleans()):
+            # Only row j of D X is nonzero and its diagonal entry is 1.
+            D = [RationalFunction(0)] * (n * k)
+        row = draw(st.lists(ratfuns, min_size=k, max_size=k))
+        rest = sum((row[q] * column[q] for q in range(k) if q != p), RationalFunction(0))
+        row[p] = (1 - rest) / column[p]
+        D[j * k:(j + 1) * k] = row
+    return TransferMatrix(n, k, D), TransferMatrix(k, n, X)
+
+
+@SETTINGS
+@given(loops())
+def test_loop_determinant_matches_determinant(loop):
+    D, X = loop
+    det = loop_determinant(D, X)
+    assert det == (TransferMatrix.identity(D.rows) - D * X).determinant()
+    assert det == RationalFunction(det.num, det.den)  # canonical
+
+
+def test_loop_determinant_examples_and_shape_errors():
+    D = TransferMatrix(1, 2, [RationalFunction(1), RationalFunction(Z)])
+    X = TransferMatrix(2, 1, [RationalFunction(1 - Z), RationalFunction(1)])
+    assert loop_determinant(D, X).is_zero  # D X = 1
+    # I - X = [[0, -1], [-1, 1]] needs a row exchange: det = -1.
+    X = TransferMatrix.constant([[1, 1], [1, 0]])
+    assert loop_determinant(TransferMatrix.identity(2), X) == RationalFunction(-1)
+    with pytest.raises(DimensionMismatch):
+        loop_determinant(D, D)
+    with pytest.raises(DimensionMismatch):
+        loop_determinant(D, TransferMatrix.zeros(2, 2))

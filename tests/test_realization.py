@@ -25,6 +25,7 @@ from realstab.realization import (
     perturbed_stability,
     raw_realization,
     robust_loop,
+    robust_verdict,
     stability_matrix,
     verify_rs_identity,
 )
@@ -344,3 +345,39 @@ def test_robust_loop_errors_name_delta_and_loop():
         robust_loop(eye, TransferMatrix(1, 1, [rf(1, Z - 2)]), "I - Delta*X", "Delta")
     with pytest.raises(SingularPerturbedLoop, match=r"^I - Delta\*X is singular$"):
         robust_loop(eye, eye, "I - Delta*X", "Delta")
+
+
+_X = TransferMatrix(1, 1, [rf(1, Z - HALF)])
+_QUARTER = TransferMatrix(1, 1, [rf(Fraction(1, 4))])
+_B = Fraction(3, 7)
+
+
+@pytest.mark.parametrize("X, delta, status", [
+    (_X, _QUARTER, "stable"),
+    (_X, TransferMatrix.zeros(1, 1), "stable"),
+    # det = (z - 1)/(z - 1/2): a zero exactly on the circle, so Psi decides.
+    (_X, _QUARTER * 2, "marginal"),
+    (_X, _QUARTER * 4, "unstable"),
+    # det = -b/z is not biproper: Psi = -z/b is improper.
+    (TransferMatrix.identity(1), TransferMatrix(1, 1, [rf(Z + _B, Z)]), "improper"),
+])
+def test_robust_verdict_is_robust_loops_verdict(X, delta, status):
+    verdict = robust_verdict(X, delta, "I - Delta*X", "Delta")
+    assert verdict == robust_loop(X, delta, "I - Delta*X", "Delta")[1]
+    assert verdict.status == status
+
+
+def test_robust_verdict_forms_no_psi_when_the_determinant_is_stable(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("formed Psi for a sample the determinant proves stable")
+
+    monkeypatch.setattr(TransferMatrix, "inverse", no_inverse)
+    assert robust_verdict(_X, _QUARTER, "I - Delta*X", "Delta").is_stable
+
+
+def test_robust_verdict_errors_match_robust_loop():
+    eye = TransferMatrix.identity(1)
+    with pytest.raises(NotStable, match="^Delta is unstable$"):
+        robust_verdict(eye, TransferMatrix(1, 1, [rf(1, Z - 2)]), "I - Delta*X", "Delta")
+    with pytest.raises(SingularPerturbedLoop, match=r"^I - Delta\*X is singular$"):
+        robust_verdict(eye, eye, "I - Delta*X", "Delta")

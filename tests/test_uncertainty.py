@@ -18,6 +18,7 @@ from realstab.iop import iop_from_loop, iop_margin, iop_robust_check
 from realstab.matrix import StateSpace, TransferMatrix
 from realstab.realization import build_plant_controller, raw_realization
 from realstab.sls import sls_of_from_controller, sls_of_margin, sls_of_robust_check
+from realstab.youla import deadbeat_observer_gain, deadbeat_state_gain, observer_controller
 from realstab.uncertainty import (
     Certificate,
     SampleStats,
@@ -189,20 +190,54 @@ def _reference_certificate(nominal, spec, n, condition):
                        condition_ref=condition, sample_stats=stats, seed=spec.seed)
 
 
-@pytest.mark.parametrize("condition, mask, radius_share, order, seed", [
-    ("cor3", {("y", "u")}, 2.0, 0, 0),
-    ("cor9", {("y", "u")}, 3.0, 2, 5),
-    ("cor7", {("x", "x"), ("x", "u"), ("y", "x"), ("y", "u")}, 3.0, 1, 3),
-    ("cor7", {("x", "x")}, 4.0, 1, 2),
-])
-def test_sampler_matches_named_checkers(condition, mask, radius_share, order, seed):
-    nominal = scalar_of_maps() if condition == "cor7" else scalar_quad()
+def observer_of_maps(A):
+    """cor7 maps of the SISO plant (A, e_1, e_n, 0) under its deadbeat
+    observer-based controller; X and Delta are (n + 1) x (n + 1)."""
+    n = len(A)
+    ss = StateSpace(A, [[int(i == 0)] for i in range(n)], [[int(j == n - 1) for j in range(n)]],
+                    [[0]])
+    K = observer_controller(ss, deadbeat_state_gain(ss), deadbeat_observer_gain(ss))
+    return sls_of_from_controller(ss, K)
+
+
+FULL = {("x", "x"), ("x", "u"), ("y", "x"), ("y", "u")}
+
+
+def _assert_sampler_matches(nominal, condition, mask, radius_share, order, seed, n):
     margin = sls_of_margin(nominal) if condition == "cor7" else iop_margin(nominal)
     spec = UncertaintySpec(block_mask=mask, radius=radius_share * margin,
                            sample_order=order, seed=seed)
-    want = _reference_certificate(nominal, spec, 60, condition)
-    assert not want.verdict.is_stable  # witnesses and worst norm are compared too
-    assert monte_carlo_certify(nominal, spec, 60, condition) == want
+    want = _reference_certificate(nominal, spec, n, condition)
+    # Below the margin every sample is stable; above it witnesses and the
+    # worst norm are compared too.
+    assert want.verdict.is_stable == (radius_share < 1)
+    assert monte_carlo_certify(nominal, spec, n, condition) == want
+
+
+@pytest.mark.parametrize("condition, mask, radius_share, order, seed", [
+    ("cor3", {("y", "u")}, 2.0, 0, 0),
+    ("cor9", {("y", "u")}, 3.0, 2, 5),
+    ("cor7", FULL, 3.0, 1, 3),
+    ("cor7", {("x", "x")}, 4.0, 1, 2),
+    ("cor3", {("y", "u")}, 0.99, 1, 0),
+    ("cor9", {("y", "u")}, 0.99, 2, 7),
+    ("cor7", FULL, 0.99, 1, 0),
+    ("cor7", FULL, 0.99, 2, 7),
+    ("cor3", {("y", "u")}, 8.0, 1, 7),
+    ("cor9", {("y", "u")}, 8.0, 2, 0),
+    ("cor7", FULL, 8.0, 1, 7),
+    ("cor7", FULL, 8.0, 2, 0),
+])
+def test_sampler_matches_named_checkers(condition, mask, radius_share, order, seed):
+    nominal = scalar_of_maps() if condition == "cor7" else scalar_quad()
+    _assert_sampler_matches(nominal, condition, mask, radius_share, order, seed, 60)
+
+
+@pytest.mark.parametrize("A", [[[0, 1], [1, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, -1]]],
+                         ids=["observer-2", "observer-3"])
+@pytest.mark.parametrize("radius_share, seed", [(0.99, 0), (8.0, 7)])
+def test_sampler_matches_named_checkers_on_observer_plants(A, radius_share, seed):
+    _assert_sampler_matches(observer_of_maps(A), "cor7", FULL, radius_share, 1, seed, 30)
 
 
 def test_soundness_cor3_below_margin():
