@@ -8,16 +8,20 @@ Equality is therefore structural. ``coeffs`` is a read-only view of the
 same value as a tuple of Fractions.
 
 All arithmetic is exact and runs on the integers; a Fraction is built only
-when a caller asks for ``coeffs`` or ``leading``. Floating point enters
-only through ``float_coeffs_desc`` and numeric evaluation, the bridge to
-the numeric analysis layer (root finding, frequency sweeps).
+when a caller asks for ``coeffs`` or ``leading``. ``poly_gcd`` reduces a
+polynomial gcd to one integer gcd (the certified heuristic gcd of Char,
+Geddes & Gonnet), keeping the primitive pseudo-remainder sequence as the
+fallback, and ``exquo`` divides by the gcd it returns without a remainder.
+Floating point enters only through ``float_coeffs_desc`` and numeric
+evaluation, the bridge to the numeric analysis layer (root finding,
+frequency sweeps).
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 def _coerce(value) -> Fraction | int:
@@ -402,15 +406,92 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _int_divides(b: list[int], a: list[int]) -> bool:
+    """True when b divides a exactly in Z[z] (both nonzero and stripped)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return False
+    lb = b[-1]
+    r = list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            return False
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return not any(r[:db])
+
+
+def _int_eval(a: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _int_balanced_digits(v: int, x: int) -> list[int]:
+    """Ascending base-x digits of v in (-x/2, x/2]: the polynomial h with h(x) == v."""
+    out = []
+    half = x // 2
+    while v:
+        d = v % x
+        if d > half:
+            d -= x
+        out.append(d)
+        v = (v - d) // x
+    return out
+
+
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two nonzero stripped integer polynomials (primitive PRS)."""
+    """Primitive gcd of two nonconstant stripped integer polynomials.
+
+    Heuristic gcd (Char, Geddes & Gonnet 1989): with a, b primitive and
+    xi >= 2 min(|a|_inf, |b|_inf) + 2, the primitive part h of the
+    balanced base-xi digits of gcd(a(xi), b(xi)) is gcd(a, b) whenever h
+    divides both a and b. Each try is one integer gcd plus that exact
+    division check; after six values of xi the primitive PRS decides.
+    """
     a = _int_primitive(a)
     b = _int_primitive(b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        # xi exceeds every root of the operand of smaller norm, so at most
+        # one of a(xi), b(xi) is zero and the gcd is never 0.
+        h = _int_balanced_digits(gcd(_int_eval(a, xi), _int_eval(b, xi)), xi)
+        if len(h) == 1:
+            return [1]  # the candidate's primitive part 1 divides both
+        h = _int_primitive(h)
+        if h[-1] < 0:
+            h = [-c for c in h]
+        if _int_divides(h, a) and _int_divides(h, b):
+            return h
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return _int_prs_gcd(a, b)
+
+
+def _int_prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two primitive, nonzero, stripped integer polynomials
+    by primitive pseudo-remainder Euclid."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
         a, b = b, _int_primitive(_int_prem(a, b))
     return a if not b[0] else [1]
+
+
+def exquo(a: Polynomial, g: Polynomial) -> Polynomial:
+    """a / g for a poly_gcd result g that divides a.
+
+    g is monic with primitive numerators, so by Gauss's lemma they divide
+    a's numerators exactly in Z[z]: a / g = (a_n / g_n) g_d / a_d.
+    """
+    gn = g._n
+    if len(gn) == 1:
+        return a
+    q = _int_exact_div(a._n, gn)
+    gd = g._d
+    return _canon([c * gd for c in q] if gd != 1 else q, a._d)
 
 
 def _monomial(k: int) -> Polynomial:
@@ -421,9 +502,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd of two polynomials.
 
     Constants and monomials short-circuit (the FIR denominators z^k this
-    package produces fall here); the general case runs primitive
-    pseudo-remainder Euclid on the integer numerators, whose gcd differs
-    from the rational one only by a constant factor.
+    package produces fall here). The general case takes the gcd of the
+    integer numerators, which differs from the rational one only by a
+    constant factor, by the heuristic gcd of Char, Geddes & Gonnet (1989):
+    one big-integer gcd of the primitive operands' values at
+    xi = 2 min(|a|_inf, |b|_inf) + 29, whose balanced base-xi digits give
+    a candidate. By their theorem (xi >= 2 min + 2 suffices) a candidate
+    that divides both operands exactly is the gcd; a rejected one grows xi,
+    and after six tries the primitive pseudo-remainder sequence decides.
     """
     if a.is_zero:
         return b.monic()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroDenominator
-from .poly import _ONE, _ZERO, Polynomial, monic_pair, poly_gcd
+from .poly import _ONE, _ZERO, Polynomial, exquo, monic_pair, poly_gcd
 
 
 def _as_poly(value) -> Polynomial:
@@ -36,10 +36,7 @@ class RationalFunction:
             self.den = _ONE
             return
         g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        self.num, self.den = monic_pair(num, den)
+        self.num, self.den = monic_pair(exquo(num, g), exquo(den, g))
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -114,8 +111,8 @@ class RationalFunction:
         if g.degree == 0:
             num = self.num * other.den + other.num * self.den
             return RationalFunction._reduced(num, self.den * other.den)
-        da = self.den // g
-        db = other.den // g
+        da = exquo(self.den, g)
+        db = exquo(other.den, g)
         num = self.num * db + other.num * da
         return RationalFunction(num, da * other.den)
 
@@ -145,10 +142,8 @@ class RationalFunction:
         # without a final full-degree gcd.
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)
-        n1 = self.num // g1 if g1.degree > 0 else self.num
-        d2 = other.den // g1 if g1.degree > 0 else other.den
-        n2 = other.num // g2 if g2.degree > 0 else other.num
-        d1 = self.den // g2 if g2.degree > 0 else self.den
+        n1, d2 = exquo(self.num, g1), exquo(other.den, g1)
+        n2, d1 = exquo(other.num, g2), exquo(self.den, g2)
         return RationalFunction._reduced(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from realstab.errors import DimensionMismatch, SingularMatrix
-from realstab.matrix import StateSpace, TransferMatrix, block_matrix, hstack, vstack
+from realstab.matrix import (StateSpace, TransferMatrix, block_matrix, hstack, product_is_identity,
+                             vstack)
 from realstab.ratfun import RationalFunction
 
 from conftest import HALF, Z, random_proper_tm, rf
@@ -69,6 +70,15 @@ def test_random_inverse_roundtrip(rng):
         assert X * Xi == eye
         assert Xi * X == eye
         done += 1
+
+
+def test_dense_inverse_at_size():
+    # Dense I - M/4 at 8 x 8: 64 result entries are reduced against a
+    # degree-58 determinant, each by one gcd.
+    A = TransferMatrix.identity(8) - random_proper_tm(random.Random(0), 8, 8) * Fraction(1, 4)
+    S = A.inverse()
+    assert product_is_identity(A, S)
+    assert product_is_identity(S, A)
 
 
 def test_determinant_2x2_cofactor(rng):

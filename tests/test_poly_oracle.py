@@ -17,7 +17,8 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from realstab.poly import Polynomial, poly_gcd  # noqa: E402
+from realstab import poly  # noqa: E402
+from realstab.poly import Polynomial, exquo, poly_gcd  # noqa: E402
 
 Z = sympy.Symbol("z")
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -28,6 +29,8 @@ small_rationals = st.builds(Fraction, st.integers(-5, 5), denominators)
 # Numerators past 2^53, where converting to float before dividing rounds twice.
 wide_rationals = st.builds(Fraction, st.integers(2 ** 53, 2 ** 70) | st.integers(-2 ** 70, -2 ** 53),
                            denominators)
+# Integers of 54 to 101 bits, where the gcd's evaluation point is just as wide.
+wide_integers = st.integers(2 ** 53, 2 ** 100) | st.integers(-2 ** 100, -2 ** 53)
 
 
 def polys(max_degree=5, elements=rationals):
@@ -89,16 +92,75 @@ def test_divmod_matches_sympy(a, b):
     assert (q, r) == (from_sympy(sq), from_sympy(sr))
 
 
+def assert_gcd_matches_sympy(a, b):
+    g = poly_gcd(a, b)
+    assert_canonical(g)
+    assert g.leading == 1
+    assert g == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).monic())
+    for p in (a, b):
+        q = exquo(p, g)
+        assert_canonical(q)
+        assert q * g == p
+    return g
+
+
 @SETTINGS
 @given(nonzero_polys(3, small_rationals), nonzero_polys(3, small_rationals),
        nonzero_polys(2, small_rationals))
 def test_gcd_matches_sympy(a, b, c):
     # A drawn common factor makes nontrivial gcds common.
-    a, b = a * c, b * c
-    g = poly_gcd(a, b)
-    assert_canonical(g)
-    assert g.leading == 1
-    assert g == from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).monic())
+    assert_gcd_matches_sympy(a * c, b * c)
+
+
+@SETTINGS
+@given(nonzero_polys(12, wide_integers), nonzero_polys(12, wide_integers),
+       nonzero_polys(4, wide_integers | rationals))
+def test_gcd_of_wide_polynomials_matches_sympy(a, b, c):
+    assert_gcd_matches_sympy(a * c, b * c)
+
+
+def test_gcd_retries_after_a_rejected_candidate(monkeypatch):
+    # At the first point xi the digits of gcd(a(xi), b(xi)) form a
+    # nonconstant candidate that must be rejected. In a pair from the
+    # identity-suite benchmark (xi = 37) it divides neither operand; for
+    # z + 1 and z^2 + 31 (xi = 31) it is z + 1, which divides only one.
+    points = []
+    evaluate = poly._int_eval
+    monkeypatch.setattr(poly, "_int_eval", lambda p, x: points.append(x) or evaluate(p, x))
+    for a, b, xi in [(Polynomial([3, -4]), Polynomial([-1, -3, 9]), 37),
+                     (Polynomial([1, 1]), Polynomial([31, 0, 1]), 31),
+                     (Polynomial([31, 0, 1]), Polynomial([1, 1]), 31)]:
+        points.clear()
+        assert assert_gcd_matches_sympy(a, b).is_one
+        assert len(set(points)) == 2 and min(points) == xi
+
+
+def test_gcd_when_an_operand_vanishes_at_the_first_point(monkeypatch):
+    # The first point is 2 |b|_inf + 29, here a zero of a: gcd(a(xi), b(xi))
+    # is b(xi), and its candidate b is rejected unless b divides a.
+    values = []
+    evaluate = poly._int_eval
+    monkeypatch.setattr(poly, "_int_eval", lambda p, x: values.append(evaluate(p, x)) or values[-1])
+    cases = [(Polynomial([-35, 1]) * Polynomial([1, 1]), Polynomial([2, 3, 1]), Polynomial([1, 1])),
+             (Polynomial([-31, 1]), Polynomial([1, 1, 1]), Polynomial([1]))]
+    for a, b, expected in cases:
+        values.clear()
+        assert assert_gcd_matches_sympy(a, b) == expected
+        assert values[0] == 0
+
+
+def test_gcd_falls_back_to_prs_when_every_candidate_is_rejected(monkeypatch):
+    fallbacks = []
+    prs = poly._int_prs_gcd
+    monkeypatch.setattr(poly, "_int_divides", lambda b, a: False)
+    monkeypatch.setattr(poly, "_int_prs_gcd", lambda a, b: fallbacks.append(1) or prs(a, b))
+    c = Polynomial([Fraction(1, 3), -2, 5])
+    cases = [(Polynomial([1, 2, 3]) * c, Polynomial([-7, 0, 1, 4]) * c),
+             (Polynomial([2 ** 60, -3, 1]) * c * c, Polynomial([5, 2 ** 70]) * c),
+             (Polynomial([1, 1]) * Polynomial([-1, 1]), Polynomial([-1, 1]) * Polynomial([2, 1]))]
+    for a, b in cases:
+        assert assert_gcd_matches_sympy(a, b).degree > 0
+    assert len(fallbacks) == len(cases)
 
 
 @SETTINGS
