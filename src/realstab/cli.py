@@ -155,9 +155,9 @@ def cmd_margin(args) -> int:
     doc = load_system(args.system)
     operand = robust_condition(_verified_section(doc, args.condition), args.condition)[2]
     peak = hinf_peak(operand)
-    epsilon = math.inf if operand.is_zero() else 1.0 / peak[0]
+    norm = peak[0]  # 0.0 for the zero map
+    epsilon = math.inf if operand.is_zero() else 1.0 / norm
     kind = "small-gain-IOP" if args.condition == "cor3" else "small-gain-SLS-OF"
-    norm = 0.0 if math.isinf(epsilon) else 1.0 / epsilon
     verdict = stability_verdict(operand)
     cert = Certificate(kind=kind, margin=epsilon, verdict=verdict,
                        condition_ref=args.condition)

@@ -41,6 +41,10 @@ SYSTEM_KINDS = ("plant-controller", "state-feedback", "sf-sls",
 _YOULA_FIELDS = ("ml", "nl", "vl", "ul", "ur", "nr", "vr", "mr")
 _IOP_FIELDS = ("Y", "W", "U", "Z")
 _SLS_OF_FIELDS = ("phi_xx", "phi_xy", "phi_ux", "phi_uy")
+# The system file's matrix fields: (JSON key, SystemDocument attribute, blocks required).
+_MATRIX_FIELDS = (("plant", "plant", False), ("controller", "controller", False),
+                  ("phi_x", "phi_x", False), ("phi_u", "phi_u", False),
+                  ("realization", "realization_matrix", True))
 
 
 # -- scalars and matrices ----------------------------------------------------
@@ -217,18 +221,11 @@ def parse_system(data: dict) -> SystemDocument:
     for name in need:
         if name not in data:
             raise SchemaError(f"system kind {kind!r} needs field {name!r}")
-    if "plant" in data:
-        doc.plant = parse_tm(data["plant"])
-    if "controller" in data:
-        doc.controller = parse_tm(data["controller"])
+    for key, attr, require_blocks in _MATRIX_FIELDS:
+        if key in data:
+            setattr(doc, attr, parse_tm(data[key], require_blocks))
     if "state_space" in data:
         doc.state_space = parse_statespace(data["state_space"])
-    if "phi_x" in data:
-        doc.phi_x = parse_tm(data["phi_x"])
-    if "phi_u" in data:
-        doc.phi_u = parse_tm(data["phi_u"])
-    if "realization" in data:
-        doc.realization_matrix = parse_tm(data["realization"], require_blocks=True)
     if "gains" in data:
         if not isinstance(data["gains"], dict):
             raise SchemaError("'gains' must be an object of real matrices")
@@ -248,18 +245,11 @@ def parse_system(data: dict) -> SystemDocument:
 
 def system_to_json(doc: SystemDocument) -> dict:
     out: dict = {"version": SCHEMA_VERSION, "kind": doc.kind}
-    if doc.plant is not None:
-        out["plant"] = tm_to_json(doc.plant)
-    if doc.controller is not None:
-        out["controller"] = tm_to_json(doc.controller)
+    for key, attr, _ in _MATRIX_FIELDS:
+        if getattr(doc, attr) is not None:
+            out[key] = tm_to_json(getattr(doc, attr))
     if doc.state_space is not None:
         out["state_space"] = ss_to_json(doc.state_space)
-    if doc.phi_x is not None:
-        out["phi_x"] = tm_to_json(doc.phi_x)
-    if doc.phi_u is not None:
-        out["phi_u"] = tm_to_json(doc.phi_u)
-    if doc.realization_matrix is not None:
-        out["realization"] = tm_to_json(doc.realization_matrix)
     if doc.gains:
         out["gains"] = {name: fm_to_json(value) for name, value in doc.gains.items()}
     for section in ("iop", "sls_of", "youla"):

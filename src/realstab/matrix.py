@@ -9,10 +9,11 @@ Inverse, determinant and resolvent share one fraction-free elimination
 (Bareiss 1968) over integer polynomials: each row is cleared to integer
 polynomials over one row scale, every elimination step divides exactly
 by the previous pivot, and each result entry is canonicalized once.
-``product_is_identity`` decides X Y == I (or [I O], [I; O]) on the same
-cleared rows and columns without canonicalizing any product entry, and
-``loop_determinant`` takes det(I - D X) from one elimination of those
-residual rows without forming D X. On a
+Products share one integer dot product P_i . Q_j of cleared rows and
+columns: ``X * Y`` canonicalizes each entry P_i . Q_j / (l_i m_j) once,
+``product_is_identity`` decides X Y == I (or [I O], [I; O]) from the
+residuals delta_ij l_i m_j - P_i . Q_j without canonicalizing any, and
+``loop_determinant`` eliminates those residual rows of I - D X. On a
 2-core Xeon VM, I - M/4 with dense random proper entries of degree up to 2
 (seeds 0-4) inverts in 0.02-0.06 s at 6 x 6, 0.07-0.17 s at 7 x 7 and
 0.2-0.42 s at 8 x 8. At 8 x 8 (seed 0) the elimination takes 0.28 s of
@@ -285,20 +286,10 @@ class TransferMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        zero = RationalFunction(0)
-        out = []
-        for i in range(self.rows):
-            lrow = self.row(i)
-            for j in range(other.cols):
-                acc = zero
-                for k, a in enumerate(lrow):
-                    if a.is_zero:
-                        continue
-                    b = other[k, j]
-                    if b.is_zero:
-                        continue
-                    acc = acc + a * b
-                out.append(acc)
+        # (X Y)_ij = P_i . Q_j / (l_i m_j) = (0 - P_i . Q_j) / -(l_i m_j), canonicalized once.
+        rows, cols = _cleared_lines(self, other)
+        out = [RationalFunction(_canon(_minus_dot(_I_ZERO, P, Q), 1), -_canon(_int_mul(l, m), 1))
+               for P, l in rows for Q, m in cols]
         return TransferMatrix(self.rows, other.cols, out, self.row_blocks, other.col_blocks)
 
     def __rmul__(self, other):
@@ -353,17 +344,27 @@ class TransferMatrix:
         return out
 
 
+def _cleared_lines(X: TransferMatrix, Y: TransferMatrix):
+    """The rows (P_i, l_i) of X and the columns (Q_j, m_j) of Y, cleared."""
+    return ([_cleared(X.row(i)) for i in range(X.rows)],
+            [_cleared(Y.entries[j::Y.cols]) for j in range(Y.cols)])
+
+
+def _minus_dot(acc, P, Q):
+    """acc - P . Q over Z[z], for lines P and Q of integer polynomials."""
+    for a, b in zip(P, Q):
+        if a[-1] and b[-1]:
+            acc = _int_sub(acc, _int_mul(a, b))
+    return acc
+
+
 def _residuals(rows, cols):
     """delta_ij l_i m_j - P_i . Q_j for cleared rows (P_i, l_i) of X and
     columns (Q_j, m_j) of Y: (I - X Y)_ij times l_i m_j over Z[z], lazily
     and in row-major order."""
     for i, (P, l) in enumerate(rows):
         for j, (Q, m) in enumerate(cols):
-            residual = _int_mul(l, m) if i == j else _I_ZERO
-            for a, b in zip(P, Q):
-                if a[-1] and b[-1]:
-                    residual = _int_sub(residual, _int_mul(a, b))
-            yield residual
+            yield _minus_dot(_int_mul(l, m) if i == j else _I_ZERO, P, Q)
 
 
 def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
@@ -378,9 +379,7 @@ def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
     """
     if X.cols != Y.rows:
         raise DimensionMismatch(f"cannot multiply {X.shape} by {Y.shape}")
-    rows = [_cleared(X.row(i)) for i in range(X.rows)]
-    cols = [_cleared(Y.entries[j::Y.cols]) for j in range(Y.cols)]
-    return not any(r[-1] for r in _residuals(rows, cols))
+    return not any(r[-1] for r in _residuals(*_cleared_lines(X, Y)))
 
 
 def loop_determinant(D: TransferMatrix, X: TransferMatrix) -> RationalFunction:

@@ -160,8 +160,7 @@ def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, flo
     if not math.isfinite(target):
         raise ValueError(f"radius {spec.radius} overflows when a draw is rescaled")
     scale = Fraction(target).limit_denominator(_SCALE_GRID)
-    scaled = raw.scale(RationalFunction(scale))
-    return scaled.with_blocks(row_blocks, col_blocks), float(scale) * base
+    return raw.scale(RationalFunction(scale)), float(scale) * base
 
 
 def sample_delta(spec: UncertaintySpec, shape) -> TransferMatrix:

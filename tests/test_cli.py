@@ -272,7 +272,25 @@ def test_margin_infinite_for_zero_input_map(tmp_path):
     report = tmp_path / "margin.json"
     assert main(["margin", str(out), "--condition", "cor3",
                  "--report", str(report)]) == 0
-    assert load_report(report)["result"]["epsilon"] == "inf"
+    result = load_report(report)["result"]
+    assert result["epsilon"] == "inf" and result["peak_gain"] == 0.0
+
+
+def test_margin_reports_the_peak_gain_itself(tmp_path, capsys):
+    # G = 0, K = 9/5: U = 9/5 peaks at 1.8, and 1.0 / (1.0 / 1.8) is 1.7999999999999998.
+    doc = SystemDocument(kind="plant-controller", plant=TransferMatrix.zeros(1, 1),
+                         controller=TransferMatrix(1, 1, [rf(Fraction(9, 5))]))
+    system = tmp_path / "static.json"
+    save_system(doc, system)
+    out = tmp_path / "static_iop.json"
+    assert main(["synthesize", str(system), "--family", "iop", "--out", str(out)]) == 0
+    report = tmp_path / "margin.json"
+    capsys.readouterr()
+    assert main(["margin", str(out), "--condition", "cor3", "--report", str(report)]) == 0
+    peak = hinf_peak(doc_iop(load_system(out)).U)[0]
+    assert peak == 1.8
+    assert load_report(report)["result"]["peak_gain"] == peak
+    assert f"(reciprocal of peak gain {peak})" in capsys.readouterr().out
 
 
 def test_synthesize_sls_sf_writes_deadbeat_maps(tmp_path):

@@ -1,7 +1,8 @@
 """Differential tests of the exact matrix kernel against sympy.
 
-sympy's DomainMatrix over the field QQ(z) is the oracle for the inverse,
-the determinant, the resolvent and the identity-product check, and the
+sympy's DomainMatrix over the field QQ(z) is the oracle for the product,
+the inverse, the determinant, the resolvent and the identity-product
+check, and the
 determinant is in turn the oracle for the loop determinant; hypothesis
 draws the matrices, with the 2^24 and 2^40 denominators the Monte-Carlo
 sampler produces and improper entries like those of zI - A. Both tools
@@ -105,6 +106,69 @@ def to_k(e: RationalFunction):
 def oracle(M: TransferMatrix) -> DomainMatrix:
     return DomainMatrix([[to_k(M[i, j]) for j in range(M.cols)] for i in range(M.rows)],
                         M.shape, QZ)
+
+
+def partitions(size, prefix):
+    """None, or labelled blocks of a size-long axis cut where the flags say."""
+    def blocks(cuts):
+        bounds = [0] + [k for k, cut in enumerate(cuts, 1) if cut] + [size]
+        spans = zip(bounds, bounds[1:])
+        return tuple((f"{prefix}{b}", hi - lo) for b, (lo, hi) in enumerate(spans))
+    return st.none() | st.lists(st.booleans(), min_size=size - 1, max_size=size - 1).map(blocks)
+
+
+@st.composite
+def products(draw):
+    """X (k x m) and Y (m x n), sizes up to 4, with zero rows of X, zero
+    columns of Y and partitions on every axis."""
+    k, m, n = (draw(st.integers(1, 4)) for _ in range(3))
+    X = draw(st.lists(ratfuns, min_size=k * m, max_size=k * m))
+    Y = draw(st.lists(ratfuns, min_size=m * n, max_size=m * n))
+    for i in draw(st.sets(st.integers(0, k - 1), max_size=k)):
+        X[i * m:(i + 1) * m] = [RationalFunction(0)] * m
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        Y[j::n] = [RationalFunction(0)] * m
+    return (TransferMatrix(k, m, X, draw(partitions(k, "a")), draw(partitions(m, "b"))),
+            TransferMatrix(m, n, Y, draw(partitions(m, "c")), draw(partitions(n, "d"))))
+
+
+def assert_product_matches(X: TransferMatrix, Y: TransferMatrix):
+    XY = X * Y
+    assert XY.shape == (X.rows, Y.cols)
+    assert XY.row_blocks == X.row_blocks and XY.col_blocks == Y.col_blocks
+    expected = (oracle(X) * oracle(Y)).to_list()
+    for i in range(X.rows):
+        for j in range(Y.cols):
+            e = XY[i, j]
+            assert e == RationalFunction(e.num, e.den)  # canonical
+            assert to_k(e) == expected[i][j]
+    with pytest.raises(DimensionMismatch):
+        X * TransferMatrix.zeros(X.cols + 1, Y.cols)
+
+
+@SETTINGS
+@given(products())
+def test_product_matches_sympy(pair):
+    assert_product_matches(*pair)
+
+
+def test_product_examples():
+    a, b = RationalFunction(Z, Z - Fraction(1, 2)), RationalFunction(3, Z * Z + 1)
+    c = RationalFunction(Fraction(-2, 3))
+    rows, cols = (("y", 1), ("u", 1)), (("w", 2),)
+    # Entries over different denominators whose terms cancel: a zero product.
+    X = TransferMatrix.from_rows([[a, b], [c * a, c * b]], rows)
+    Y = TransferMatrix.from_rows([[b, c * b], [-a, -c * a]], None, cols)
+    assert_product_matches(X, Y)
+    assert (X * Y).is_zero() and (X * Y).row_blocks == rows and (X * Y).col_blocks == cols
+    # Constant entries only, and a column of Y that is zero.
+    X = TransferMatrix.constant([[1, Fraction(1, 2)], [3, -4]])
+    Y = TransferMatrix.constant([[Fraction(2, 7), 0], [5, 0]])
+    assert_product_matches(X, Y)
+    assert X * Y == TransferMatrix.constant([[Fraction(2, 7) + Fraction(5, 2), 0],
+                                             [Fraction(6, 7) - 20, 0]])
+    with pytest.raises(DimensionMismatch):
+        Y * TransferMatrix.zeros(3, 1)
 
 
 def assert_inverse_matches(M: TransferMatrix):
