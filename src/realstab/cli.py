@@ -9,8 +9,8 @@ reproducibility).
 Exit codes: 0 stable / all samples stable, 1 non-stable samples present,
 2 marginal, 3 unstable or improper, 4 no stability matrix, 5 singular
 perturbed loop, 6 pole on the frequency grid, 7 gain not stabilizing,
-64 parse or usage error, 65 dimension error, 66 missing parameterization
-blocks, 70 internal error.
+64 parse or usage error or improper input, 65 dimension error,
+66 missing parameterization blocks, 70 internal error.
 """
 
 from __future__ import annotations
@@ -25,15 +25,18 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import freq_response, hinf_peak, matrix_poles, stability_verdict
+from .analysis import (STABLE, StabilityVerdict, freq_response, hinf_peak, matrix_poles,
+                       stability_verdict)
 from .errors import (
     DimensionMismatch,
     EmptyMask,
+    ImproperBlock,
     InfiniteMargin,
     MaskViolation,
     MissingBlocks,
     NoStabilityMatrix,
     NotStabilizing,
+    NotStrictlyProper,
     PoleOnGrid,
     RealstabError,
     SchemaError,
@@ -158,8 +161,8 @@ def cmd_margin(args) -> int:
     norm = peak[0]  # 0.0 for the zero map
     epsilon = math.inf if operand.is_zero() else 1.0 / norm
     kind = "small-gain-IOP" if args.condition == "cor3" else "small-gain-SLS-OF"
-    verdict = stability_verdict(operand)
-    cert = Certificate(kind=kind, margin=epsilon, verdict=verdict,
+    # hinf_peak has already required the operand to be stable.
+    cert = Certificate(kind=kind, margin=epsilon, verdict=StabilityVerdict(STABLE),
                        condition_ref=args.condition)
     print(f"condition {args.condition}: margin epsilon = {epsilon} "
           f"(reciprocal of peak gain {norm})")
@@ -334,7 +337,8 @@ def cmd_synthesize(args) -> int:
         F = _need_gain(gains, "F")
         L = _need_gain(gains, "L")
         cf = coprime_from_gains(doc.state_space, F, L)
-        if not (cf.identity_holds() and cf.all_stable()):
+        # coprime_from_gains has verified the Bezout identity exactly.
+        if not cf.all_stable():
             raise RealstabError("internal: coprime factorization failed its self-check")
         out = SystemDocument(kind=doc.kind, plant=doc.plant, controller=doc.controller,
                              state_space=doc.state_space, phi_x=doc.phi_x,
@@ -405,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 # MissingBlocks (a SchemaError) comes before SchemaError.
 _EXIT_CODES = (
     ((MissingBlocks,), 66),
-    ((SchemaError, EmptyMask, MaskViolation, OSError, ValueError), 64),
+    ((SchemaError, EmptyMask, MaskViolation, ImproperBlock, NotStrictlyProper,
+      OSError, ValueError), 64),
     ((DimensionMismatch,), 65),
     ((NoStabilityMatrix,), 4),
     ((SingularPerturbedLoop,), 5),

@@ -453,27 +453,6 @@ def fm_shape(x: FractionMatrix) -> tuple[int, int]:
     return len(x), len(x[0])
 
 
-def fm_eye(n: int) -> FractionMatrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def fm_add(x: FractionMatrix, y: FractionMatrix) -> FractionMatrix:
-    if fm_shape(x) != fm_shape(y):
-        raise DimensionMismatch("matrix addition shape mismatch")
-    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
-def fm_mul(x: FractionMatrix, y: FractionMatrix) -> FractionMatrix:
-    rx, cx = fm_shape(x)
-    ry, cy = fm_shape(y)
-    if cx != ry:
-        raise DimensionMismatch("matrix product shape mismatch")
-    return tuple(
-        tuple(sum((x[i][k] * y[k][j] for k in range(cx)), Fraction(0)) for j in range(cy))
-        for i in range(rx)
-    )
-
-
 class StateSpace:
     """Exact discrete-time state-space data (A, B, C, D) over the rationals."""
 

@@ -211,36 +211,6 @@ class Polynomial:
             n = [c * p for c in self._n]
         return _canon(n, self._d * q)
 
-    def __divmod__(self, other):
-        """Polynomial long division over the rationals; other must be nonzero.
-
-        Runs fraction-free on the numerators: lc(B)^t A = Q B + R, and the
-        true quotient and remainder are Q db / (da lc(B)^t) and
-        R / (da lc(B)^t), with A/da and B/db the operands.
-        """
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero or self.degree < other.degree:
-            return _ZERO, self
-        q_int, r_int, lead_pow = _int_pdiv(self._n, other._n)
-        qden = self._d * lead_pow
-        if qden < 0:
-            qden = -qden
-            q_int = [-c for c in q_int]
-            r_int = [-c for c in r_int]
-        db = other._d
-        if db != 1:
-            q_int = [c * db for c in q_int]
-        return _canon(q_int, qden), _canon(r_int, qden)
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Polynomial":
         n = self._n
         lead = n[-1]
@@ -292,26 +262,6 @@ def monic_pair(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
     if lead == den._d:
         return num, den
     return num._scaled(den._d, lead), den.monic()
-
-
-def _int_pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
-    """Fraction-free division: lc(b)^t * a = q * b + r with t = deg a - deg b + 1."""
-    db = len(b) - 1
-    lb = b[-1]
-    t = len(a) - db
-    r = a
-    tops = []
-    for k in range(t - 1, -1, -1):
-        # lb * r - top * z^k * b, whose top coefficient cancels.
-        top = r[-1]
-        tops.append(top)
-        r = [lb * c for c in r[:k]] + [lb * x - top * y for x, y in zip(r[k:-1], b)]
-    # Each quotient coefficient is scaled by lb once per later step.
-    q, scale = [], 1
-    for top in reversed(tops):
-        q.append(top * scale)
-        scale *= lb
-    return q, r, scale
 
 
 def _int_mul(a: list[int], b: list[int]) -> list[int]:

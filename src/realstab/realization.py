@@ -287,10 +287,11 @@ def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
     n lies strictly inside the unit circle (the generalized Nyquist /
     small-gain argument: MacFarlane & Postlethwaite 1977; Zhou, Doyle &
     Glover 1996, ch. 5 and 9). When 1/det is stable this returns stable
-    without forming Psi; every other sample returns robust_loop's verdict,
-    status and witnesses alike. X must be stable and proper, as the block
-    of a stable S is; Delta is checked as in robust_loop, and a zero
-    determinant raises the same SingularPerturbedLoop.
+    without forming Psi; every other sample forms Psi once and returns
+    robust_loop's verdict, status and witnesses alike. X must be stable and
+    proper, as the block of a stable S is; Delta is checked once, as in
+    robust_loop, and a zero determinant raises the same
+    SingularPerturbedLoop.
 
     The zeros of n and the poles of Psi are rooted in floating point from
     different polynomials, so the two routes could part only when such a
@@ -304,7 +305,7 @@ def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
     zeros = stability_verdict(det.inverse())
     if zeros.is_stable:
         return zeros
-    return robust_loop(X, delta, name, what)[1]
+    return stability_verdict(perturbed_loop(delta * X, name))
 
 
 def perturbed_stability(S_hat: TransferMatrix, delta,

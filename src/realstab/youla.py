@@ -10,7 +10,6 @@ factorization leaves this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .analysis import StabilityVerdict, require_stable, stability_verdict
 from .errors import (
@@ -25,10 +24,8 @@ from .matrix import (
     TransferMatrix,
     block_matrix,
     fm,
-    fm_add,
-    fm_eye,
-    fm_mul,
     fm_shape,
+    hstack,
     product_is_identity,
 )
 from .realization import perturbed_loop, robust_loop
@@ -92,19 +89,18 @@ def coprime_from_gains(ss: StateSpace, F, L) -> CoprimeFactorization:
         raise DimensionMismatch(f"state gain must be {m}x{n}")
     if fm_shape(L) != (n, p):
         raise DimensionMismatch(f"observer gain must be {n}x{p}")
-    a_f = fm_add(ss.A, fm_mul(ss.B, F))
-    a_l = fm_add(ss.A, fm_mul(L, ss.C))
-    res_f = StateSpace(a_f, ss.B, ss.C, ss.D).resolvent()
-    if not stability_verdict(res_f).is_stable:
-        raise NotStabilizing("A + B*F leaves an eigenvalue on or outside the unit circle")
-    res_l = StateSpace(a_l, ss.B, ss.C, ss.D).resolvent()
-    if not stability_verdict(res_l).is_stable:
-        raise NotStabilizing("A + L*C leaves an eigenvalue on or outside the unit circle")
     Bm = TransferMatrix.constant(ss.B)
     Cm = TransferMatrix.constant(ss.C)
     Dm = TransferMatrix.constant(ss.D)
     Fm = TransferMatrix.constant(F)
     Lm = TransferMatrix.constant(L)
+    z_minus_a = ss.z_minus_a()
+    res_f = (z_minus_a - Bm * Fm).inverse()
+    if not stability_verdict(res_f).is_stable:
+        raise NotStabilizing("A + B*F leaves an eigenvalue on or outside the unit circle")
+    res_l = (z_minus_a - Lm * Cm).inverse()
+    if not stability_verdict(res_l).is_stable:
+        raise NotStabilizing("A + L*C leaves an eigenvalue on or outside the unit circle")
     CDF = Cm + Dm * Fm
     BLD = Bm + Lm * Dm
     eye_m = TransferMatrix.identity(m)
@@ -172,18 +168,26 @@ def youla_robust_check(Q: TransferMatrix, P_delta: TransferMatrix) -> StabilityV
 # -- deadbeat gain helpers (single input / single measurement) --------------
 
 
-def _fm_inverse(X) -> tuple[tuple[Fraction, ...], ...]:
-    inv = TransferMatrix.constant(X).inverse()
-    return tuple(tuple(inv[i, j].constant_value() for j in range(inv.cols))
-                 for i in range(inv.rows))
+def _ackermann(A: TransferMatrix, B: TransferMatrix, uncontrollable: str) -> TransferMatrix:
+    """Ackermann's gain K = -e_n' [B, AB, ..., A^(n-1) B]^-1 A^n for a single
+    input: every eigenvalue of A + BK is zero. Raises
+    NotStabilizing(uncontrollable) when the pair (A, B) is not controllable.
+    """
+    n = A.rows
+    cols = [B]
+    power = A
+    for _ in range(n - 1):
+        cols.append(A * cols[-1])
+        power = power * A
+    try:
+        ctrb_inv = hstack(cols).inverse()
+    except SingularMatrix as exc:
+        raise NotStabilizing(uncontrollable) from exc
+    return -(ctrb_inv.submatrix((n - 1, n), (0, n)) * power)
 
 
-def _fm_power(X, k: int):
-    n = len(X)
-    out = fm_eye(n)
-    for _ in range(k):
-        out = fm_mul(out, X)
-    return out
+def _grid(X: TransferMatrix):
+    return tuple(tuple(e.constant_value() for e in X.row(i)) for i in range(X.rows))
 
 
 def deadbeat_state_gain(ss: StateSpace):
@@ -194,51 +198,28 @@ def deadbeat_state_gain(ss: StateSpace):
     """
     if ss.m != 1:
         raise NotStabilizing("deadbeat state gain helper needs a single-input system")
-    n = ss.n
-    cols = []
-    col = ss.B
-    for _ in range(n):
-        cols.append([row[0] for row in col])
-        col = fm_mul(ss.A, col)
-    ctrb = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    try:
-        ctrb_inv = _fm_inverse(ctrb)
-    except SingularMatrix as exc:
-        raise NotStabilizing("pair (A, B) is not controllable") from exc
-    last = tuple(tuple(Fraction(1 if j == n - 1 else 0) for j in range(n)) for _ in range(1))
-    k_row = fm_mul(fm_mul(last, ctrb_inv), _fm_power(ss.A, n))
-    return tuple(tuple(-v for v in row) for row in k_row)
+    return _grid(_ackermann(TransferMatrix.constant(ss.A), TransferMatrix.constant(ss.B),
+                            "pair (A, B) is not controllable"))
 
 
 def deadbeat_observer_gain(ss: StateSpace):
-    """Dual Ackermann gain L placing every eigenvalue of A + LC at zero.
+    """Dual Ackermann gain L placing every eigenvalue of A + LC at zero: the
+    transpose of the state gain of the pair (A', C').
 
     Single-measurement systems only; raises NotStabilizing when the pair is
     not observable.
     """
     if ss.p != 1:
         raise NotStabilizing("deadbeat observer gain helper needs a single output")
-    n = ss.n
-    rows = []
-    row = ss.C
-    for _ in range(n):
-        rows.append(row[0])
-        row = fm_mul(row, ss.A)
-    obsv = tuple(tuple(rows[i][j] for j in range(n)) for i in range(n))
-    try:
-        obsv_inv = _fm_inverse(obsv)
-    except SingularMatrix as exc:
-        raise NotStabilizing("pair (A, C) is not observable") from exc
-    last_col = tuple((Fraction(1 if i == n - 1 else 0),) for i in range(n))
-    l_col = fm_mul(_fm_power(ss.A, n), fm_mul(obsv_inv, last_col))
-    return tuple(tuple(-v for v in row) for row in l_col)
+    At = TransferMatrix.constant(ss.A).transpose()
+    Ct = TransferMatrix.constant(ss.C).transpose()
+    return _grid(_ackermann(At, Ct, "pair (A, C) is not observable").transpose())
 
 
 def observer_controller(ss: StateSpace, F, L) -> TransferMatrix:
     """Nominal observer-based controller -F (zI - A - BF - LC - LDF)^-1 L."""
-    F = fm(F)
-    L = fm(L)
-    a_fl = fm_add(fm_add(ss.A, fm_mul(ss.B, F)),
-                  fm_mul(L, fm_add(ss.C, fm_mul(ss.D, F))))
-    res = StateSpace(a_fl, ss.B, ss.C, ss.D).resolvent()
-    return -(TransferMatrix.constant(F) * res * TransferMatrix.constant(L))
+    Fm = TransferMatrix.constant(fm(F))
+    Lm = TransferMatrix.constant(fm(L))
+    Bm, Cm, Dm = (TransferMatrix.constant(X) for X in (ss.B, ss.C, ss.D))
+    res = (ss.z_minus_a() - Bm * Fm - Lm * (Cm + Dm * Fm)).inverse()
+    return -(Fm * res * Lm)

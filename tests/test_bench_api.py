@@ -1,18 +1,23 @@
-"""The benchmark's workloads reach realstab only through module attributes.
+"""The benchmark reaches realstab only through module attributes.
 
 ``bench/workloads.py`` imports realstab modules and calls
 ``<module>.<name>``; a function with no caller inside the package (for
 example ``iop.iop_margin``) would otherwise be free to go, and every
 benchmark run would then fail. This test reads the file's syntax tree and
 resolves each name it imports from realstab and each dotted use of an
-imported realstab module.
+imported realstab module. ``bench/tracer.py`` wraps every layer module it
+lists and, by name, the private steps it times; a traced run fails when
+one of them is gone, so those names are resolved too.
 """
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def _dotted(node):
@@ -71,3 +76,17 @@ def test_resolver_rejects_a_missing_name():
     assert _resolves("realstab.matrix.TransferMatrix.zeros")
     assert not _resolves("realstab.matrix.TransferMatrix.no_such_method")
     assert not _resolves("realstab.no_such_module")
+
+
+def test_tracer_hooks_name_what_realstab_has():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert set(tracer._PRIVATE_BOUNDARIES) <= set(tracer.LAYERS)
+    missing = []
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"realstab.{layer}")
+        for name in tracer._PRIVATE_BOUNDARIES.get(layer, ()):
+            if not inspect.isfunction(vars(module).get(name)):
+                missing.append(f"realstab.{layer}.{name}")
+    assert not missing, f"bench/tracer.py hooks names realstab lacks: {missing}"

@@ -102,6 +102,34 @@ def test_dimension_error_exit_65(tmp_path):
     assert main(["analyze", str(path)]) == 65
 
 
+SCALAR_SS = StateSpace([[HALF]], [[1]], [[1]], [[0]])
+
+
+@pytest.mark.parametrize("doc, message", [
+    (SystemDocument(kind="plant-controller", plant=TransferMatrix(1, 1, [rf(Z)]),
+                    controller=TransferMatrix(1, 1, [rf(HALF)])),
+     "plant is improper"),
+    (SystemDocument(kind="sf-sls", state_space=SCALAR_SS,
+                    phi_x=TransferMatrix(1, 1, [rf(1)]),
+                    phi_u=TransferMatrix(1, 1, [rf(-HALF, Z)])),
+     "response maps must be strictly proper"),
+    (SystemDocument(kind="raw-realization",
+                    realization_matrix=TransferMatrix(2, 2, [rf(0), rf(Z), rf(0), rf(0)],
+                                                      (("a", 1), ("b", 1)),
+                                                      (("a", 1), ("b", 1)))),
+     "improper off-diagonal blocks: [('a', 'b')]"),
+    (SystemDocument(kind="state-feedback", state_space=SCALAR_SS,
+                    controller=TransferMatrix(1, 1, [rf(Z)])),
+     "improper off-diagonal blocks: [('u', 'x')]"),
+])
+def test_improper_input_exit_64(tmp_path, capsys, doc, message):
+    # Bad input, not a failed exactness cross-check (exit 70).
+    path = tmp_path / "improper.json"
+    save_system(doc, path)
+    assert main(["analyze", str(path)]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def write_scalar_of(tmp_path, name="of.json"):
     doc = SystemDocument(kind="output-feedback",
                          state_space=StateSpace([[HALF]], [[1]], [[1]], [[0]]),

@@ -80,18 +80,6 @@ def test_add_and_sub_match_sympy(a, b):
     assert diff == from_sympy(to_sympy(a) - to_sympy(b))
 
 
-@SETTINGS
-@given(polys(6), nonzero_polys())
-def test_divmod_matches_sympy(a, b):
-    q, r = divmod(a, b)
-    assert_canonical(q)
-    assert_canonical(r)
-    assert q * b + r == a
-    assert r.is_zero or r.degree < b.degree
-    sq, sr = sympy.div(to_sympy(a), to_sympy(b))
-    assert (q, r) == (from_sympy(sq), from_sympy(sr))
-
-
 def assert_gcd_matches_sympy(a, b):
     g = poly_gcd(a, b)
     assert_canonical(g)

@@ -6,7 +6,7 @@ import pytest
 
 from realstab.analysis import freq_response, stability_verdict
 from realstab.errors import NotStable, NotStabilizing, SingularMatrix, SingularPerturbedLoop
-from realstab.matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_add, fm_mul
+from realstab.matrix import StateSpace, TransferMatrix, block_matrix, fm
 from realstab.realization import (
     build_output_feedback,
     perturbed_stability,
@@ -81,16 +81,17 @@ def test_state_feedback_maps_match_closed_forms(rng):
         ss = StateSpace([[x / 2 for x in row] for row in random_fm(rng, n, n, -1, 1)],
                         random_fm(rng, n, m, -1, 1), [[0] * n], [[0] * m])
         K = fm(random_fm(rng, m, n, -1, 1))
-        a_cl = fm_add(ss.A, fm_mul(ss.B, K))
-        if max(abs(np.linalg.eigvals(np.array(a_cl, dtype=float)))) >= 1 - 1e-9:
+        A, B, Ka = (np.array(X, dtype=float) for X in (ss.A, ss.B, K))
+        if max(abs(np.linalg.eigvals(A + B @ Ka))) >= 1 - 1e-9:
             with pytest.raises(NotStabilizing):
                 sls_sf_from_gain(ss, K)
             unstable += 1
             continue
         maps = sls_sf_from_gain(ss, K)
-        phi_x = StateSpace(a_cl, ss.B, ss.C, ss.D).resolvent()
+        Km = TransferMatrix.constant(K)
+        phi_x = (ss.z_minus_a() - TransferMatrix.constant(ss.B) * Km).inverse()
         assert maps.phi_x == phi_x
-        assert maps.phi_u == TransferMatrix.constant(K) * phi_x
+        assert maps.phi_u == Km * phi_x
         assert maps.defect.is_zero()
         stable += 1
     assert stable >= 5 and unstable >= 5

@@ -7,7 +7,7 @@ import pytest
 
 from realstab.analysis import stability_verdict
 from realstab.errors import NotStable, NotStabilizing, SingularFactor, SingularPerturbedLoop
-from realstab.matrix import StateSpace, TransferMatrix, fm, fm_add, fm_mul
+from realstab.matrix import StateSpace, TransferMatrix, fm
 from realstab.realization import build_plant_controller, stability_matrix
 from realstab.youla import (
     YoulaPair,
@@ -91,7 +91,7 @@ def test_rejects_gains_on_the_circle(F, L, which):
 def test_gain_verdicts_match_eigenvalues(rng):
     # Each gain is decided by the verdict of its resolvent; eigvals is the reference.
     def schur(X):
-        return max(abs(np.linalg.eigvals(np.array(X, dtype=float)))) < 1 - 1e-9
+        return max(abs(np.linalg.eigvals(X))) < 1 - 1e-9
 
     accepted = rejected = 0
     for _ in range(30):
@@ -100,7 +100,8 @@ def test_gain_verdicts_match_eigenvalues(rng):
                         random_fm(rng, n, 1, -1, 1), random_fm(rng, 1, n, -1, 1), [[0]])
         F = fm(random_fm(rng, 1, n, -1, 1))
         L = fm(random_fm(rng, n, 1, -1, 1))
-        if schur(fm_add(ss.A, fm_mul(ss.B, F))) and schur(fm_add(ss.A, fm_mul(L, ss.C))):
+        A, B, C, Fa, La = (np.array(X, dtype=float) for X in (ss.A, ss.B, ss.C, F, L))
+        if schur(A + B @ Fa) and schur(A + La @ C):
             cf = coprime_from_gains(ss, F, L)
             assert cf.identity_holds() and cf.all_stable()
             accepted += 1
@@ -208,32 +209,43 @@ def test_deadbeat_gain_helpers_scalar():
 
 
 def test_deadbeat_gain_nilpotent(rng):
-    for _ in range(5):
+    # (A + BF)^n == 0 and (A + LC)^n == 0, exactly.
+    placed = {"F": 0, "L": 0}
+    for _ in range(10):
         n = rng.randint(2, 3)
         A = random_fm(rng, n, n)
         B = [[Fraction(1 if i == n - 1 else 0)] for i in range(n)]
         ss = StateSpace(A, B, [[1] + [0] * (n - 1)], [[0]])
-        try:
-            F = deadbeat_state_gain(ss)
-        except NotStabilizing:
-            continue
-        a_cl = fm_add(ss.A, fm_mul(ss.B, F))
-        power = a_cl
-        for _ in range(n - 1):
-            power = fm_mul(power, a_cl)
-        assert all(v == 0 for row in power for v in row)
+        A, B, C = (TransferMatrix.constant(X) for X in (ss.A, ss.B, ss.C))
+        for name, helper, close in (("F", deadbeat_state_gain, lambda F: A + B * F),
+                                    ("L", deadbeat_observer_gain, lambda L: A + L * C)):
+            try:
+                a_cl = close(TransferMatrix.constant(helper(ss)))
+            except NotStabilizing:
+                continue
+            power = a_cl
+            for _ in range(n - 1):
+                power = power * a_cl
+            assert power.is_zero()
+            placed[name] += 1
+    assert placed["F"] and placed["L"]
 
 
 def test_deadbeat_gain_needs_single_input():
     ss = StateSpace([[0]], [[1, 1]], [[1]], [[0, 0]])
-    with pytest.raises(NotStabilizing):
+    with pytest.raises(NotStabilizing, match="needs a single-input system"):
         deadbeat_state_gain(ss)
+    ss = StateSpace([[0]], [[1]], [[1], [1]], [[0], [0]])
+    with pytest.raises(NotStabilizing, match="deadbeat observer gain helper needs a single output"):
+        deadbeat_observer_gain(ss)
 
 
 def test_deadbeat_gain_uncontrollable():
     ss = StateSpace([[1, 0], [0, 2]], [[1], [0]], [[1, 0]], [[0]])
-    with pytest.raises(NotStabilizing):
+    with pytest.raises(NotStabilizing, match=r"pair \(A, B\) is not controllable"):
         deadbeat_state_gain(ss)
+    with pytest.raises(NotStabilizing, match=r"pair \(A, C\) is not observable"):
+        deadbeat_observer_gain(ss)
 
 
 def test_nominal_loop_is_internally_stable(rng):
