@@ -150,16 +150,17 @@ def tm_to_json(tm: TransferMatrix) -> dict:
     return out
 
 
-def parse_fm(obj):
+def parse_fm(obj) -> TransferMatrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("real matrix must be a non-empty nested list")
     if not obj[0] or any(len(r) != len(obj[0]) for r in obj):
         raise SchemaError("real matrix rows are empty or ragged")
-    return tuple(tuple(parse_rational(v) for v in row) for row in obj)
+    return TransferMatrix.constant([[parse_rational(v) for v in row] for row in obj])
 
 
 def fm_to_json(x) -> list:
-    return [[rational_to_json(v) for v in row] for row in x]
+    x = TransferMatrix.constant(x)
+    return [[rational_to_json(e.constant_value()) for e in x.row(i)] for i in range(x.rows)]
 
 
 def parse_statespace(obj) -> StateSpace:

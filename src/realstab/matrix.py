@@ -1,9 +1,10 @@
 """Transfer matrices over exact rational functions, plus state-space records.
 
 A TransferMatrix is a dense rows x cols grid of RationalFunction entries,
-optionally carrying named block partitions on its rows and columns. All
-algebra is exact; equality is structural equality of the canonical entries
-(partitions are metadata and do not participate in comparisons).
+optionally carrying named block partitions on its rows and columns. It is
+the one exact matrix type: state-space data and gains are constant
+TransferMatrixes. All algebra is exact; equality is structural equality of
+the canonical entries (partitions are metadata, not compared).
 
 Inverse, determinant and resolvent share one fraction-free elimination
 (Bareiss 1968) over integer polynomials: each row is cleared to integer
@@ -196,10 +197,13 @@ class TransferMatrix:
         return cls(rows, cols, [z] * (rows * cols), row_blocks, col_blocks)
 
     @classmethod
-    def constant(cls, grid, row_blocks=None, col_blocks=None) -> "TransferMatrix":
-        """Matrix of constants from a nested sequence of exact rationals."""
-        return cls.from_rows([[RationalFunction(v) for v in row] for row in grid],
-                             row_blocks, col_blocks)
+    def constant(cls, grid) -> "TransferMatrix":
+        """Matrix of constants from nested rationals, or a constant TransferMatrix as is."""
+        if isinstance(grid, TransferMatrix):
+            if not all(e.is_constant for e in grid.entries):
+                raise DimensionMismatch(f"expected a matrix of constants, got {grid!r}")
+            return grid
+        return cls.from_rows([[RationalFunction(Fraction(v)) for v in row] for row in grid])
 
     # -- access ------------------------------------------------------------
 
@@ -433,57 +437,33 @@ def block_matrix(grid, row_blocks=None, col_blocks=None) -> TransferMatrix:
     return stacked.with_blocks(row_blocks, col_blocks)
 
 
-# -- exact matrices of rational scalars (gains, state-space data) ----------
-
-FractionMatrix = tuple[tuple[Fraction, ...], ...]
-
-
-def fm(grid) -> FractionMatrix:
-    """Coerce a nested sequence of ints/Fractions to an immutable Fraction grid."""
-    out = tuple(tuple(Fraction(v) for v in row) for row in grid)
-    if not out or not out[0]:
-        raise DimensionMismatch("empty matrix")
-    width = len(out[0])
-    if any(len(row) != width for row in out):
-        raise DimensionMismatch("ragged rows")
-    return out
-
-
-def fm_shape(x: FractionMatrix) -> tuple[int, int]:
-    return len(x), len(x[0])
-
-
 class StateSpace:
-    """Exact discrete-time state-space data (A, B, C, D) over the rationals."""
+    """Exact discrete-time state-space data: A, B, C and D as constant TransferMatrixes."""
 
     __slots__ = ("A", "B", "C", "D")
 
     def __init__(self, A, B, C, D):
-        self.A = fm(A)
-        self.B = fm(B)
-        self.C = fm(C)
-        self.D = fm(D)
-        n = len(self.A)
-        if fm_shape(self.A) != (n, n):
+        self.A, self.B, self.C, self.D = (TransferMatrix.constant(X) for X in (A, B, C, D))
+        if self.A.cols != self.n:
             raise DimensionMismatch("A must be square")
-        if len(self.B) != n:
+        if self.B.rows != self.n:
             raise DimensionMismatch("B must have as many rows as A")
-        if len(self.C[0]) != n:
+        if self.C.cols != self.n:
             raise DimensionMismatch("C must have as many columns as A")
-        if fm_shape(self.D) != (self.p, self.m):
+        if self.D.shape != (self.p, self.m):
             raise DimensionMismatch("D must be p x m")
 
     @property
     def n(self) -> int:
-        return len(self.A)
+        return self.A.rows
 
     @property
     def m(self) -> int:
-        return len(self.B[0])
+        return self.B.cols
 
     @property
     def p(self) -> int:
-        return len(self.C)
+        return self.C.rows
 
     def __eq__(self, other):
         if not isinstance(other, StateSpace):
@@ -496,14 +476,10 @@ class StateSpace:
     def z_minus_a(self) -> TransferMatrix:
         """The polynomial matrix zI - A."""
         z = Polynomial.z()
-        ents = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    ents.append(RationalFunction(z - self.A[i][j]))
-                else:
-                    ents.append(RationalFunction(-self.A[i][j]))
-        return TransferMatrix(self.n, self.n, ents)
+        n = self.n
+        ents = [RationalFunction(z - e.num) if k % (n + 1) == 0 else -e
+                for k, e in enumerate(self.A.entries)]
+        return TransferMatrix(n, n, ents)
 
     def resolvent(self) -> TransferMatrix:
         """(zI - A)^-1, exact."""
@@ -511,5 +487,4 @@ class StateSpace:
 
     def transfer(self) -> TransferMatrix:
         """The plant map C (zI - A)^-1 B + D."""
-        return TransferMatrix.constant(self.C) * self.resolvent() * \
-            TransferMatrix.constant(self.B) + TransferMatrix.constant(self.D)
+        return self.C * self.resolvent() * self.B + self.D

@@ -26,7 +26,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=0, den=1):
+    def __init__(self, num=0, den=_ONE):
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero:

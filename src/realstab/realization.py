@@ -96,12 +96,25 @@ class Transformation:
             raise SingularMatrix("transformation is singular")
 
 
+def normalize_mask(pairs) -> frozenset:
+    """A block mask as a frozenset of (row label, col label) string pairs."""
+    return frozenset((str(a), str(b)) for a, b in pairs)
+
+
+def check_mask_labels(block_mask: frozenset, row_blocks, col_blocks) -> None:
+    """Raise DimensionMismatch at the first masked block, in sorted order, outside the partition."""
+    rows, cols = dict(row_blocks), dict(col_blocks)
+    for a, b in sorted(block_mask):
+        if a not in rows or b not in cols:
+            raise DimensionMismatch(f"mask block ({a}, {b}) not in the partition")
+
+
 @dataclass(frozen=True)
 class AdditivePerturbation:
     """Structured additive perturbation of a realization matrix.
 
-    block_mask lists the (row signal, col signal) blocks allowed to be
-    nonzero; everything outside the mask must be identically zero.
+    block_mask lists the (row signal, col signal) blocks of the partition
+    allowed to be nonzero; everything outside the mask must be identically zero.
     """
 
     delta: TransferMatrix
@@ -111,8 +124,8 @@ class AdditivePerturbation:
         d = self.delta
         if d.row_blocks is None or d.col_blocks is None:
             raise DimensionMismatch("perturbation needs the host signal partition")
-        object.__setattr__(self, "block_mask",
-                           frozenset((str(a), str(b)) for a, b in self.block_mask))
+        object.__setattr__(self, "block_mask", normalize_mask(self.block_mask))
+        check_mask_labels(self.block_mask, d.row_blocks, d.col_blocks)
         for ra, _ in d.row_blocks:
             for cb, _ in d.col_blocks:
                 if (ra, cb) in self.block_mask:
@@ -121,12 +134,16 @@ class AdditivePerturbation:
                     raise MaskViolation(f"nonzero entries in unmasked block ({ra}, {cb})")
 
 
-def _delta_matrix(delta) -> TransferMatrix:
-    if isinstance(delta, AdditivePerturbation):
-        return delta.delta
-    if isinstance(delta, TransferMatrix):
-        return delta
-    raise TypeError("expected an AdditivePerturbation or TransferMatrix")
+def _delta_matrix(delta, host: TransferMatrix) -> TransferMatrix:
+    """Delta's matrix, which must have host's signal partition when both have one."""
+    D = delta.delta if isinstance(delta, AdditivePerturbation) else delta
+    if not isinstance(D, TransferMatrix):
+        raise TypeError("expected an AdditivePerturbation or TransferMatrix")
+    own, want = (D.row_blocks, D.col_blocks), (host.row_blocks, host.col_blocks)
+    if None not in own + want and own != want:
+        raise DimensionMismatch("perturbation partition {} x {} does not match the system's "
+                                "{} x {}".format(*own, *want))
+    return D
 
 
 # -- builders for the four supported loop families --------------------------
@@ -165,7 +182,7 @@ def build_state_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSystem
         raise DimensionMismatch(f"gain map must be {m}x{n}, got {K.shape}")
     blocks = (("x", n), ("u", m))
     return _from_loop_matrix(block_matrix(
-        [[ss.z_minus_a(), -TransferMatrix.constant(ss.B)],
+        [[ss.z_minus_a(), -ss.B],
          [-K, TransferMatrix.identity(m)]],
         blocks, blocks))
 
@@ -189,7 +206,7 @@ def build_sf_sls(ss: StateSpace, phi_x: TransferMatrix,
         raise NotStrictlyProper("response maps must be strictly proper")
     blocks = (("x", n), ("u", m), ("delta", n))
     return _from_loop_matrix(block_matrix(
-        [[ss.z_minus_a(), -TransferMatrix.constant(ss.B), TransferMatrix.zeros(n, n)],
+        [[ss.z_minus_a(), -ss.B, TransferMatrix.zeros(n, n)],
          [TransferMatrix.zeros(m, n), TransferMatrix.identity(m), -z_phi_u],
          [-TransferMatrix.identity(n), TransferMatrix.zeros(n, m), z_phi_x]],
         blocks, blocks))
@@ -202,10 +219,9 @@ def build_output_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSyste
         raise DimensionMismatch(f"controller must be {m}x{p}, got {K.shape}")
     blocks = (("x", n), ("u", m), ("y", p))
     return _from_loop_matrix(block_matrix(
-        [[ss.z_minus_a(), -TransferMatrix.constant(ss.B), TransferMatrix.zeros(n, p)],
+        [[ss.z_minus_a(), -ss.B, TransferMatrix.zeros(n, p)],
          [TransferMatrix.zeros(m, n), TransferMatrix.identity(m), -K],
-         [-TransferMatrix.constant(ss.C), -TransferMatrix.constant(ss.D),
-          TransferMatrix.identity(p)]],
+         [-ss.C, -ss.D, TransferMatrix.identity(p)]],
         blocks, blocks))
 
 
@@ -317,7 +333,7 @@ def perturbed_stability(S_hat: TransferMatrix, delta,
     cross-checks against the direct inverse (I - R_hat - Delta)^-1 when the
     nominal realization matrix is supplied.
     """
-    D = _delta_matrix(delta)
+    D = _delta_matrix(delta, S_hat)
     if not S_hat.is_square or D.shape != S_hat.shape:
         raise DimensionMismatch(
             f"perturbation {D.shape} does not match the stability matrix {S_hat.shape}")
@@ -334,7 +350,7 @@ def perturbed_stability(S_hat: TransferMatrix, delta,
 
 def check_offdiagonal_properness(sys: RealizationSystem, delta) -> bool:
     """True iff every off-diagonal signal block of R + Delta is proper."""
-    D = _delta_matrix(delta)
+    D = _delta_matrix(delta, sys.R)
     if D.shape != sys.R.shape:
         raise DimensionMismatch("perturbation shape does not match the realization")
     perturbed = (sys.R + D).with_blocks(sys.partition, sys.partition)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .analysis import StabilityVerdict, small_gain_margin, stability_verdict
 from .errors import DimensionMismatch, NotStabilizing
-from .matrix import StateSpace, TransferMatrix, block_matrix, fm, fm_shape, product_is_identity
+from .matrix import StateSpace, TransferMatrix, block_matrix, product_is_identity
 from .realization import (
     AdditivePerturbation,
     build_output_feedback,
@@ -54,11 +54,11 @@ class SlsOutputFeedback:
 
 
 def _zia_minus_b(ss: StateSpace) -> TransferMatrix:
-    return block_matrix([[ss.z_minus_a(), -TransferMatrix.constant(ss.B)]])
+    return block_matrix([[ss.z_minus_a(), -ss.B]])
 
 
 def _zia_over_minus_c(ss: StateSpace) -> TransferMatrix:
-    return block_matrix([[ss.z_minus_a()], [-TransferMatrix.constant(ss.C)]])
+    return block_matrix([[ss.z_minus_a()], [-ss.C]])
 
 
 def sls_sf_defect(ss: StateSpace, phi_x: TransferMatrix,
@@ -78,10 +78,10 @@ def sls_sf_from_gain(ss: StateSpace, K) -> SlsStateFeedback:
     when stability_verdict(S) is stable; every eigenvalue of A + BK is a
     pole of S_xx. The returned defect is identically zero.
     """
-    K = fm(K)
-    if fm_shape(K) != (ss.m, ss.n):
+    K = TransferMatrix.constant(K)
+    if K.shape != (ss.m, ss.n):
         raise DimensionMismatch(f"gain must be {ss.m}x{ss.n}")
-    S = stability_matrix(build_state_feedback(ss, TransferMatrix.constant(K)))
+    S = stability_matrix(build_state_feedback(ss, K))
     if not stability_verdict(S).is_stable:
         raise NotStabilizing("A + B*K leaves an eigenvalue on or outside the unit circle")
     phi_x = S.block("x", "x")
@@ -166,11 +166,10 @@ def sls_of_controller(maps: SlsOutputFeedback, D=None) -> TransferMatrix:
     k0 = maps.phi_uy - maps.phi_ux * maps.phi_xx.inverse() * maps.phi_xy
     if D is None:
         return k0
-    Dm = TransferMatrix.constant(fm(D))
-    if Dm.is_zero():
+    D = TransferMatrix.constant(D)
+    if D.is_zero():
         return k0
-    eye = TransferMatrix.identity(Dm.rows)
-    return k0 * (eye + Dm * k0).inverse()
+    return k0 * (TransferMatrix.identity(D.rows) + D * k0).inverse()
 
 
 def sls_of_perturbed_response(maps: SlsOutputFeedback) -> TransferMatrix:

@@ -40,6 +40,8 @@ from .poly import Polynomial
 from .ratfun import RationalFunction
 from .realization import (
     RealizationSystem,
+    check_mask_labels,
+    normalize_mask,
     perturbed_stability,
     robust_verdict,
     stability_matrix,
@@ -62,8 +64,7 @@ class UncertaintySpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "block_mask",
-                           frozenset((str(a), str(b)) for a, b in self.block_mask))
+        object.__setattr__(self, "block_mask", normalize_mask(self.block_mask))
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.sample_order < 0:
@@ -126,12 +127,10 @@ def _fir_entry(rng, order: int) -> RationalFunction:
 
 def _check_mask(block_mask: frozenset, shape) -> None:
     """Raise EmptyMask or DimensionMismatch unless the mask selects blocks of shape."""
-    row_labels, col_labels = map(dict, _partition_of(shape))
+    row_blocks, col_blocks = _partition_of(shape)
     if not block_mask:
         raise EmptyMask("uncertainty mask selects no blocks")
-    for a, b in block_mask:
-        if a not in row_labels or b not in col_labels:
-            raise DimensionMismatch(f"mask block ({a}, {b}) not in the partition")
+    check_mask_labels(block_mask, row_blocks, col_blocks)
 
 
 def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, float]:
@@ -329,9 +328,7 @@ def worst_case_delta(U_hat: TransferMatrix, epsilon: float,
         align = real_part / norm if norm > 0 else real_part
     else:
         align = align.real
-    delta = TransferMatrix.constant(
-        [[Fraction(float(epsilon * align[i, j])) for j in range(align.shape[1])]
-         for i in range(align.shape[0])])
+    delta = TransferMatrix.constant(epsilon * align)
     det_fn = loop_determinant(delta, U_hat)
     witness = None
     distance = None

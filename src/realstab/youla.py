@@ -1,10 +1,10 @@
 """Doubly coprime factorizations and the primal/dual controller-plant maps.
 
-The eight factors are built from a stabilizing state-feedback gain F and a
-stabilizing observer gain L by the standard observer-based construction:
-the right block pair lives over A + BF and its exact inverse over A + LC.
-The defining 2x2-block identity is re-verified exactly before any
-factorization leaves this module.
+The eight factors are built from stabilizing constant gains F (state
+feedback) and L (observer), TransferMatrixes like the state-space data,
+by the standard observer-based construction: the right block pair lives
+over A + BF and its exact inverse over A + LC. The defining 2x2-block
+identity is re-verified exactly before any factorization leaves this module.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .matrix import (
     StateSpace,
     TransferMatrix,
     block_matrix,
-    fm,
-    fm_shape,
     hstack,
     product_is_identity,
 )
@@ -82,39 +80,34 @@ def coprime_from_gains(ss: StateSpace, F, L) -> CoprimeFactorization:
     construction and the Bezout identity is verified exactly
     (IdentityCheckFailed would indicate an internal bug).
     """
-    F = fm(F)
-    L = fm(L)
+    F = TransferMatrix.constant(F)
+    L = TransferMatrix.constant(L)
     n, m, p = ss.n, ss.m, ss.p
-    if fm_shape(F) != (m, n):
+    if F.shape != (m, n):
         raise DimensionMismatch(f"state gain must be {m}x{n}")
-    if fm_shape(L) != (n, p):
+    if L.shape != (n, p):
         raise DimensionMismatch(f"observer gain must be {n}x{p}")
-    Bm = TransferMatrix.constant(ss.B)
-    Cm = TransferMatrix.constant(ss.C)
-    Dm = TransferMatrix.constant(ss.D)
-    Fm = TransferMatrix.constant(F)
-    Lm = TransferMatrix.constant(L)
     z_minus_a = ss.z_minus_a()
-    res_f = (z_minus_a - Bm * Fm).inverse()
+    res_f = (z_minus_a - ss.B * F).inverse()
     if not stability_verdict(res_f).is_stable:
         raise NotStabilizing("A + B*F leaves an eigenvalue on or outside the unit circle")
-    res_l = (z_minus_a - Lm * Cm).inverse()
+    res_l = (z_minus_a - L * ss.C).inverse()
     if not stability_verdict(res_l).is_stable:
         raise NotStabilizing("A + L*C leaves an eigenvalue on or outside the unit circle")
-    CDF = Cm + Dm * Fm
-    BLD = Bm + Lm * Dm
+    CDF = ss.C + ss.D * F
+    BLD = ss.B + L * ss.D
     eye_m = TransferMatrix.identity(m)
     eye_p = TransferMatrix.identity(p)
 
     cf = CoprimeFactorization(
-        Ml=eye_p + Cm * res_l * Lm,
-        Nl=Dm + Cm * res_l * BLD,
-        Vl=-(Fm * res_l * Lm),
-        Ul=eye_m - Fm * res_l * BLD,
-        Ur=eye_p - CDF * res_f * Lm,
-        Nr=Dm + CDF * res_f * Bm,
-        Vr=-(Fm * res_f * Lm),
-        Mr=eye_m + Fm * res_f * Bm,
+        Ml=eye_p + ss.C * res_l * L,
+        Nl=ss.D + ss.C * res_l * BLD,
+        Vl=-(F * res_l * L),
+        Ul=eye_m - F * res_l * BLD,
+        Ur=eye_p - CDF * res_f * L,
+        Nr=ss.D + CDF * res_f * ss.B,
+        Vr=-(F * res_f * L),
+        Mr=eye_m + F * res_f * ss.B,
     )
     if not cf.identity_holds():
         raise IdentityCheckFailed("coprime factorization identity failed")
@@ -137,21 +130,17 @@ def youla_controller(cf: CoprimeFactorization, Q: TransferMatrix) -> TransferMat
         raise SingularFactor("Ur - Nr*Q is singular") from exc
 
 
-def pq_loop_matrix(pair: YoulaPair) -> TransferMatrix:
-    if pair.P.cols != pair.Q.rows or pair.Q.cols != pair.P.rows:
-        raise DimensionMismatch("parameter shapes do not close a loop")
-    return block_matrix([[TransferMatrix.identity(pair.P.rows), pair.P],
-                         [pair.Q, TransferMatrix.identity(pair.Q.rows)]])
-
-
 def youla_pq_stability(pair: YoulaPair) -> StabilityVerdict:
     """Verdict of [[I, P], [Q, I]]^-1, the parameter-side internal loop.
 
     Raises SingularPerturbedLoop when [[I, P], [Q, I]] is singular.
     """
-    loop = pq_loop_matrix(pair)
-    eye = TransferMatrix.identity(loop.rows)
-    return stability_verdict(perturbed_loop(eye - loop, "[[I, P], [Q, I]]"))
+    P, Q = pair.P, pair.Q
+    if P.cols != Q.rows or Q.cols != P.rows:
+        raise DimensionMismatch("parameter shapes do not close a loop")
+    M = block_matrix([[TransferMatrix.zeros(P.rows, P.rows), -P],
+                      [-Q, TransferMatrix.zeros(Q.rows, Q.rows)]])
+    return stability_verdict(perturbed_loop(M, "[[I, P], [Q, I]]"))
 
 
 def youla_robust_check(Q: TransferMatrix, P_delta: TransferMatrix) -> StabilityVerdict:
@@ -186,40 +175,33 @@ def _ackermann(A: TransferMatrix, B: TransferMatrix, uncontrollable: str) -> Tra
     return -(ctrb_inv.submatrix((n - 1, n), (0, n)) * power)
 
 
-def _grid(X: TransferMatrix):
-    return tuple(tuple(e.constant_value() for e in X.row(i)) for i in range(X.rows))
-
-
-def deadbeat_state_gain(ss: StateSpace):
-    """Ackermann gain F placing every eigenvalue of A + BF at zero.
+def deadbeat_state_gain(ss: StateSpace) -> TransferMatrix:
+    """Ackermann gain F (constant, 1 x n) placing every eigenvalue of A + BF at zero.
 
     Single-input systems only; raises NotStabilizing when the pair is not
     controllable.
     """
     if ss.m != 1:
         raise NotStabilizing("deadbeat state gain helper needs a single-input system")
-    return _grid(_ackermann(TransferMatrix.constant(ss.A), TransferMatrix.constant(ss.B),
-                            "pair (A, B) is not controllable"))
+    return _ackermann(ss.A, ss.B, "pair (A, B) is not controllable")
 
 
-def deadbeat_observer_gain(ss: StateSpace):
-    """Dual Ackermann gain L placing every eigenvalue of A + LC at zero: the
-    transpose of the state gain of the pair (A', C').
+def deadbeat_observer_gain(ss: StateSpace) -> TransferMatrix:
+    """Dual Ackermann gain L (constant, n x 1) placing every eigenvalue of A + LC
+    at zero: the transpose of the state gain of the pair (A', C').
 
     Single-measurement systems only; raises NotStabilizing when the pair is
     not observable.
     """
     if ss.p != 1:
         raise NotStabilizing("deadbeat observer gain helper needs a single output")
-    At = TransferMatrix.constant(ss.A).transpose()
-    Ct = TransferMatrix.constant(ss.C).transpose()
-    return _grid(_ackermann(At, Ct, "pair (A, C) is not observable").transpose())
+    return _ackermann(ss.A.transpose(), ss.C.transpose(),
+                      "pair (A, C) is not observable").transpose()
 
 
 def observer_controller(ss: StateSpace, F, L) -> TransferMatrix:
     """Nominal observer-based controller -F (zI - A - BF - LC - LDF)^-1 L."""
-    Fm = TransferMatrix.constant(fm(F))
-    Lm = TransferMatrix.constant(fm(L))
-    Bm, Cm, Dm = (TransferMatrix.constant(X) for X in (ss.B, ss.C, ss.D))
-    res = (ss.z_minus_a() - Bm * Fm - Lm * (Cm + Dm * Fm)).inverse()
-    return -(Fm * res * Lm)
+    F = TransferMatrix.constant(F)
+    L = TransferMatrix.constant(L)
+    res = (ss.z_minus_a() - ss.B * F - L * (ss.C + ss.D * F)).inverse()
+    return -(F * res * L)

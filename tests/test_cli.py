@@ -256,6 +256,57 @@ def test_perturb_singular_exit_5(tmp_path):
     assert main(["perturb", str(system), str(delta)]) == 5
 
 
+def write_zero_delta(tmp_path, blocks, mask=None, name="zero_delta.json"):
+    size = sum(s for _, s in blocks)
+    data = perturbation_to_json(AdditivePerturbation(TransferMatrix.zeros(size, size,
+                                                                          blocks, blocks)))
+    if mask is not None:
+        data["block_mask"] = mask
+    path = tmp_path / name
+    path.write_text(dumps_canonical(data))
+    return path
+
+
+def write_two_state_feedback(tmp_path, name="sf.json"):
+    """A stable state-feedback loop over signals (x: 2, u: 1)."""
+    doc = SystemDocument(kind="state-feedback",
+                         state_space=StateSpace([[HALF, 0], [0, 0]], [[1], [0]],
+                                                [[1, 0]], [[0]]),
+                         controller=TransferMatrix(1, 2, [rf(0), rf(0)]))
+    path = tmp_path / name
+    save_system(doc, path)
+    return path
+
+
+@pytest.mark.parametrize("write_system, blocks, system_blocks", [
+    (write_fig4, (("a", 1), ("b", 1)), (("y", 1), ("u", 1))),
+    (write_two_state_feedback, (("x", 1), ("u", 2)), (("x", 2), ("u", 1))),
+], ids=["plant-controller", "state-feedback"])
+def test_perturb_rejects_a_delta_written_for_another_system(tmp_path, capsys, write_system,
+                                                            blocks, system_blocks):
+    # Same size, other signal blocks: the Delta file belongs to another system.
+    system = write_system(tmp_path)
+    delta = write_zero_delta(tmp_path, blocks)
+    assert main(["perturb", str(system), str(delta)]) == 65
+    assert capsys.readouterr().err == (
+        f"error: perturbation partition {blocks} x {blocks} does not match the system's "
+        f"{system_blocks} x {system_blocks}\n")
+
+
+def test_perturb_mask_labels_checked_like_sample_blocks(tmp_path, capsys):
+    system = write_fig4(tmp_path)
+    delta = write_zero_delta(tmp_path, (("y", 1), ("u", 1)),
+                             mask=[["y", "u"], ["bogus", "u"]])
+    assert main(["perturb", str(system), str(delta)]) == 65
+    perturb_err = capsys.readouterr().err
+    out = synthesized(tmp_path, "iop")
+    capsys.readouterr()
+    assert main(["sample", str(out), "--radius", "0.5", "--n", "1", "--condition", "cor3",
+                 "--blocks", "y:u,bogus:u"]) == 65
+    assert capsys.readouterr().err == perturb_err == \
+        "error: mask block (bogus, u) not in the partition\n"
+
+
 def test_margin_missing_blocks_exit_66(tmp_path):
     system = write_fig4(tmp_path)
     assert main(["margin", str(system), "--condition", "cor3"]) == 66

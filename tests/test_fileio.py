@@ -456,3 +456,135 @@ def test_system_dumps_pinned():
     text = dumps_canonical(system_to_json(doc))
     assert text == PINNED_SYSTEM_TEXT
     assert dumps_canonical(system_to_json(parse_system(json.loads(text)))) == text
+
+
+def _pinned_output_feedback():
+    # State-space data and gains as grids with dyadic, negative and zero entries.
+    P = Polynomial
+    ss = StateSpace([[W24, -W40, 0], [Fraction(-3, 2), 0, 1], [0, W40 - 1, Fraction(5, 7)]],
+                    [[1, 0], [0, -W24], [W40, 0]],
+                    [[0, 1, -W24]],
+                    [[0, Fraction(-1, 3)]])
+    controller = TransferMatrix.from_rows([[rf(-HALF)], [rf(P([W40]), P([-W24, 1]))]])
+    gains = {"F": [[-W40, 0, Fraction(7, 3)], [0, W24, -1]],
+             "L": [[-HALF], [0], [W40 - W24]],
+             "K": [[0, 0, 0], [-W24, W40, 0]]}
+    return SystemDocument(kind="output-feedback", state_space=ss, controller=controller,
+                          gains=gains)
+
+
+PINNED_OUTPUT_FEEDBACK_TEXT = """\
+{
+  "controller": {
+    "cols": 1,
+    "entries": [
+      [
+        "-1/2"
+      ],
+      [
+        {
+          "den": [
+            "-1/16777216",
+            "1"
+          ],
+          "num": [
+            "1/1099511627776"
+          ]
+        }
+      ]
+    ],
+    "rows": 2
+  },
+  "gains": {
+    "F": [
+      [
+        "-1/1099511627776",
+        "0",
+        "7/3"
+      ],
+      [
+        "0",
+        "1/16777216",
+        "-1"
+      ]
+    ],
+    "K": [
+      [
+        "0",
+        "0",
+        "0"
+      ],
+      [
+        "-1/16777216",
+        "1/1099511627776",
+        "0"
+      ]
+    ],
+    "L": [
+      [
+        "-1/2"
+      ],
+      [
+        "0"
+      ],
+      [
+        "-65535/1099511627776"
+      ]
+    ]
+  },
+  "kind": "output-feedback",
+  "state_space": {
+    "A": [
+      [
+        "1/16777216",
+        "-1/1099511627776",
+        "0"
+      ],
+      [
+        "-3/2",
+        "0",
+        "1"
+      ],
+      [
+        "0",
+        "-1099511627775/1099511627776",
+        "5/7"
+      ]
+    ],
+    "B": [
+      [
+        "1",
+        "0"
+      ],
+      [
+        "0",
+        "-1/16777216"
+      ],
+      [
+        "1/1099511627776",
+        "0"
+      ]
+    ],
+    "C": [
+      [
+        "0",
+        "1",
+        "-1/16777216"
+      ]
+    ],
+    "D": [
+      [
+        "0",
+        "-1/3"
+      ]
+    ]
+  },
+  "version": "realstab/1"
+}
+"""
+
+
+def test_output_feedback_dumps_pinned():
+    text = dumps_canonical(system_to_json(_pinned_output_feedback()))
+    assert text == PINNED_OUTPUT_FEEDBACK_TEXT
+    assert dumps_canonical(system_to_json(parse_system(json.loads(text)))) == text

@@ -141,6 +141,17 @@ def test_statespace_validation():
         StateSpace([[0]], [[1], [1]], [[1]], [[0]])
     with pytest.raises(DimensionMismatch):
         StateSpace([[0]], [[1]], [[1]], [[0, 0]])
+    with pytest.raises(DimensionMismatch):
+        StateSpace(TransferMatrix(1, 1, [rf(Z)]), [[1]], [[1]], [[0]])
+
+
+def test_statespace_data_are_constant_transfer_matrices():
+    grids = ([[HALF, 0], [-1, Fraction(1, 3)]], [[1], [0]], [[0, 2]], [[Fraction(-1, 4)]])
+    constants = [TransferMatrix.constant(g) for g in grids]
+    from_grids = StateSpace(*grids)
+    assert from_grids == StateSpace(*constants)
+    assert [from_grids.A, from_grids.B, from_grids.C, from_grids.D] == constants
+    assert all(TransferMatrix.constant(X) is X for X in constants)
 
 
 def test_statespace_transfer_integrator():

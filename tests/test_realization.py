@@ -296,6 +296,8 @@ def test_additive_perturbation_mask():
     assert pert.block_mask == frozenset({("y", "u")})
     with pytest.raises(MaskViolation):
         AdditivePerturbation(delta, frozenset({("u", "y")}))
+    with pytest.raises(DimensionMismatch, match=r"^mask block \(bogus, u\) not in the partition$"):
+        AdditivePerturbation(delta, frozenset({("y", "u"), ("zzz", "u"), ("bogus", "u")}))
 
 
 def test_offdiagonal_properness_check():

@@ -6,7 +6,7 @@ import pytest
 
 from realstab.analysis import freq_response, stability_verdict
 from realstab.errors import NotStable, NotStabilizing, SingularMatrix, SingularPerturbedLoop
-from realstab.matrix import StateSpace, TransferMatrix, block_matrix, fm
+from realstab.matrix import StateSpace, TransferMatrix, block_matrix
 from realstab.realization import (
     build_output_feedback,
     perturbed_stability,
@@ -78,18 +78,19 @@ def test_state_feedback_maps_match_closed_forms(rng):
     stable = unstable = 0
     for _ in range(30):
         n, m = rng.randint(2, 4), rng.randint(1, 2)
-        ss = StateSpace([[x / 2 for x in row] for row in random_fm(rng, n, n, -1, 1)],
-                        random_fm(rng, n, m, -1, 1), [[0] * n], [[0] * m])
-        K = fm(random_fm(rng, m, n, -1, 1))
-        A, B, Ka = (np.array(X, dtype=float) for X in (ss.A, ss.B, K))
-        if max(abs(np.linalg.eigvals(A + B @ Ka))) >= 1 - 1e-9:
+        A = [[x / 2 for x in row] for row in random_fm(rng, n, n, -1, 1)]
+        B = random_fm(rng, n, m, -1, 1)
+        ss = StateSpace(A, B, [[0] * n], [[0] * m])
+        K = random_fm(rng, m, n, -1, 1)
+        Aa, Ba, Ka = (np.array(X, dtype=float) for X in (A, B, K))
+        if max(abs(np.linalg.eigvals(Aa + Ba @ Ka))) >= 1 - 1e-9:
             with pytest.raises(NotStabilizing):
                 sls_sf_from_gain(ss, K)
             unstable += 1
             continue
         maps = sls_sf_from_gain(ss, K)
         Km = TransferMatrix.constant(K)
-        phi_x = (ss.z_minus_a() - TransferMatrix.constant(ss.B) * Km).inverse()
+        phi_x = (ss.z_minus_a() - ss.B * Km).inverse()
         assert maps.phi_x == phi_x
         assert maps.phi_u == Km * phi_x
         assert maps.defect.is_zero()
@@ -138,8 +139,8 @@ def test_output_feedback_each_identity_fails_on_its_own():
                                       maps.phi_ux, maps.phi_uy + one * c)
     left_broken = sls_of_from_blocks(ss, maps.phi_xx, maps.phi_xy,
                                      maps.phi_ux + res * c, maps.phi_uy + one * c)
-    zia_minus_b = block_matrix([[ss.z_minus_a(), -TransferMatrix.constant(ss.B)]])
-    zia_over_minus_c = block_matrix([[ss.z_minus_a()], [-TransferMatrix.constant(ss.C)]])
+    zia_minus_b = block_matrix([[ss.z_minus_a(), -ss.B]])
+    zia_over_minus_c = block_matrix([[ss.z_minus_a()], [-ss.C]])
     zero = TransferMatrix.zeros(1, 1)
     for bad in (right_broken, left_broken):
         left = zia_minus_b * bad.block() == block_matrix([[one, zero]])

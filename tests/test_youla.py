@@ -7,7 +7,7 @@ import pytest
 
 from realstab.analysis import stability_verdict
 from realstab.errors import NotStable, NotStabilizing, SingularFactor, SingularPerturbedLoop
-from realstab.matrix import StateSpace, TransferMatrix, fm
+from realstab.matrix import StateSpace, TransferMatrix
 from realstab.realization import build_plant_controller, stability_matrix
 from realstab.youla import (
     YoulaPair,
@@ -96,12 +96,14 @@ def test_gain_verdicts_match_eigenvalues(rng):
     accepted = rejected = 0
     for _ in range(30):
         n = rng.randint(2, 4)
-        ss = StateSpace([[x / 2 for x in row] for row in random_fm(rng, n, n, -1, 1)],
-                        random_fm(rng, n, 1, -1, 1), random_fm(rng, 1, n, -1, 1), [[0]])
-        F = fm(random_fm(rng, 1, n, -1, 1))
-        L = fm(random_fm(rng, n, 1, -1, 1))
-        A, B, C, Fa, La = (np.array(X, dtype=float) for X in (ss.A, ss.B, ss.C, F, L))
-        if schur(A + B @ Fa) and schur(A + La @ C):
+        A = [[x / 2 for x in row] for row in random_fm(rng, n, n, -1, 1)]
+        B = random_fm(rng, n, 1, -1, 1)
+        C = random_fm(rng, 1, n, -1, 1)
+        ss = StateSpace(A, B, C, [[0]])
+        F = random_fm(rng, 1, n, -1, 1)
+        L = random_fm(rng, n, 1, -1, 1)
+        Aa, Ba, Ca, Fa, La = (np.array(X, dtype=float) for X in (A, B, C, F, L))
+        if schur(Aa + Ba @ Fa) and schur(Aa + La @ Ca):
             cf = coprime_from_gains(ss, F, L)
             assert cf.identity_holds() and cf.all_stable()
             accepted += 1
@@ -204,8 +206,8 @@ def test_robust_check_singular_loop():
 
 def test_deadbeat_gain_helpers_scalar():
     ss = StateSpace([[HALF]], [[1]], [[1]], [[0]])
-    assert deadbeat_state_gain(ss) == ((Fraction(-1, 2),),)
-    assert deadbeat_observer_gain(ss) == ((Fraction(-1, 2),),)
+    assert deadbeat_state_gain(ss) == TransferMatrix.constant([[Fraction(-1, 2)]])
+    assert deadbeat_observer_gain(ss) == TransferMatrix.constant([[Fraction(-1, 2)]])
 
 
 def test_deadbeat_gain_nilpotent(rng):
@@ -216,11 +218,11 @@ def test_deadbeat_gain_nilpotent(rng):
         A = random_fm(rng, n, n)
         B = [[Fraction(1 if i == n - 1 else 0)] for i in range(n)]
         ss = StateSpace(A, B, [[1] + [0] * (n - 1)], [[0]])
-        A, B, C = (TransferMatrix.constant(X) for X in (ss.A, ss.B, ss.C))
+        A, B, C = ss.A, ss.B, ss.C
         for name, helper, close in (("F", deadbeat_state_gain, lambda F: A + B * F),
                                     ("L", deadbeat_observer_gain, lambda L: A + L * C)):
             try:
-                a_cl = close(TransferMatrix.constant(helper(ss)))
+                a_cl = close(helper(ss))
             except NotStabilizing:
                 continue
             power = a_cl
