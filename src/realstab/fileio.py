@@ -155,7 +155,8 @@ def parse_fm(obj) -> TransferMatrix:
         raise SchemaError("real matrix must be a non-empty nested list")
     if not obj[0] or any(len(r) != len(obj[0]) for r in obj):
         raise SchemaError("real matrix rows are empty or ragged")
-    return TransferMatrix.constant([[parse_rational(v) for v in row] for row in obj])
+    return TransferMatrix.from_rows([[RationalFunction(parse_rational(v)) for v in row]
+                                     for row in obj])
 
 
 def fm_to_json(x) -> list:

@@ -6,31 +6,35 @@ the one exact matrix type: state-space data and gains are constant
 TransferMatrixes. All algebra is exact; equality is structural equality of
 the canonical entries (partitions are metadata, not compared).
 
-Inverse, determinant and resolvent share one fraction-free elimination
-(Bareiss 1968) over integer polynomials: each row is cleared to integer
-polynomials over one row scale, every elimination step divides exactly
-by the previous pivot, and each result entry is canonicalized once.
-Products share one integer dot product P_i . Q_j of cleared rows and
-columns: ``X * Y`` canonicalizes each entry P_i . Q_j / (l_i m_j) once,
-``product_is_identity`` decides X Y == I (or [I O], [I; O]) from the
-residuals delta_ij l_i m_j - P_i . Q_j without canonicalizing any, and
-``loop_determinant`` eliminates those residual rows of I - D X. On a
-2-core Xeon VM, I - M/4 with dense random proper entries of degree up to 2
-(seeds 0-4) inverts in 0.02-0.06 s at 6 x 6, 0.07-0.17 s at 7 x 7 and
-0.2-0.42 s at 8 x 8. At 8 x 8 (seed 0) the elimination takes 0.28 s of
-0.31 s; the 64 gcds that reduce the result entries over a degree-58
-determinant take 0.02 s.
+Inverse, determinant, resolvent and products share one packed kernel.
+Each row (or column) is cleared to integer polynomials over one scale, and
+each of those is packed once into one integer, its value at z = 2^k
+(Kronecker substitution). The fraction-free elimination (Bareiss 1968) and
+the dot products P_i . Q_j run on those integers, and each result is
+unpacked once, as balanced base-2^k digits, and canonicalized once.
+Evaluation is a ring map, so each exact division stays exact. k holds an
+l1 bound on every value unpacked or compared, so unpacking and the zero
+and equality tests are exact too: in an elimination every such value is
+a minor of the input, and a minor's l1 norm is at most the product of
+its rows' (expand it over permutations). On a 2-core Xeon VM (Python
+3.11), I - M/4 with dense random proper entries of degree up to 2 (seeds
+0-4, best of 3, two runs) inverts in 4-12 ms at 6 x 6, 10-41 ms at 7 x 7
+and 36-100 ms at 8 x 8. At 8 x 8 (seed 0) the elimination takes 29 ms of
+49 ms; the 64 gcds that reduce the result entries over a degree-58
+determinant take most of the rest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import lcm, prod
+from operator import mul
 
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
-from .poly import _ONE, Polynomial, _canon, _int_exact_div, _int_mul, _int_sub, _raw, poly_gcd
+from .poly import _ONE, Polynomial, _canon, _int_exact_div, _int_mul, _raw, poly_gcd
 from .ratfun import RationalFunction, as_ratfun
 
 Blocks = tuple[tuple[str, int], ...]
@@ -66,10 +70,7 @@ def _block_span(blocks: Blocks, label: str) -> tuple[int, int]:
     raise KeyError(f"no block labelled {label!r}")
 
 
-# -- fraction-free elimination over integer polynomials ----------------------
-
-_I_ONE = [1]
-_I_ZERO = [0]
+# -- fraction-free elimination on packed integers -----------------------------
 
 
 def _cleared(line) -> tuple[list[list[int]], list[int]]:
@@ -90,19 +91,19 @@ def _cleared(line) -> tuple[list[list[int]], list[int]]:
             continue
         g = poly_gcd(den_lcm, den)
         grow = den._n if g.is_one else _int_exact_div(den._n, g._n)
-        prod = _int_mul(den_lcm._n, grow)
-        den_lcm = _raw(prod, prod[-1])
+        grown = _int_mul(den_lcm._n, grow)
+        den_lcm = _raw(grown, grown[-1])
     L = den_lcm._n
     P = []
     for e in line:
         num, den = e.num, e.den
         if num.is_zero:
-            P.append(_I_ZERO)
+            P.append([0])
             continue
         if den.is_one:
             rest = L
         elif den._n == L:
-            rest = _I_ONE
+            rest = [1]
         else:
             rest = _int_exact_div(L, den._n)
         # num / den = (n / d) / (dn / dd) = n dd / (d dn), times s L / (s L).
@@ -110,45 +111,88 @@ def _cleared(line) -> tuple[list[list[int]], list[int]]:
     return P, _int_mul([s], L)
 
 
-def _bareiss(work, n: int, jordan: bool) -> tuple[list[int] | None, int]:
+def _norm(p: list[int]) -> int:
+    """The l1 norm of an integer polynomial, a bound on each coefficient."""
+    return sum(map(abs, p))
+
+
+def _width(bound: int) -> int:
+    """Least k whose balanced base-2^k digits hold every integer of size <= bound."""
+    return bound.bit_length() + 1
+
+
+def _pack(p: list[int], k: int) -> int:
+    """p(2^k): an integer polynomial as one integer (Kronecker substitution)."""
+    v = 0
+    for c in reversed(p):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> list[int]:
+    """The integer polynomial p with p(2^k) == v and every coefficient in
+    (-2^(k-1), 2^(k-1)]: the balanced base-2^k digits of v, ascending."""
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    out = []
+    while v:
+        d = v & mask
+        if d > half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> k
+    return out or [0]
+
+
+def _packed_rows(M: TransferMatrix, extra: int):
+    """The rows of M cleared to (P_i, l_i), as (packed P_i, l_i, k), with k
+    for their minors, each row's l1 norm raised by extra (1 for [P | I])."""
+    cleared = [_cleared(M.row(i)) for i in range(M.rows)]
+    k = _width(prod(max(1, extra + sum(map(_norm, P))) for P, _ in cleared))
+    return [[_pack(p, k) for p in P] for P, _ in cleared], [l for _, l in cleared], k
+
+
+def _bareiss(work, n: int, jordan: bool) -> tuple[int | None, int]:
     """Fraction-free elimination of the first n columns of work, in place.
 
-    work is n rows of integer polynomials. Each update
-    (p a_ij - a_ik a_kj) / prev divides exactly (Bareiss 1968), so the
-    entries stay minors of the input. The forward pass updates the rows
-    below each pivot; with jordan, every other row, so that the first n
-    columns end at d I (only their entries right of the pivot column are
-    written). Returns (d, swaps): d is the last pivot, +-det of the first
-    n columns, or None when they are singular; swaps counts row exchanges.
+    work is n rows of integer polynomials packed at a width that holds
+    prod max(1, r) over their l1 norms r, a bound on every minor. Each
+    update (p a_ij - a_ik a_kj) / prev divides exactly and leaves a minor.
+    The forward pass updates the rows below each pivot; with jordan, every
+    other row, so that the first n columns end at d I (only their entries
+    right of the pivot column are written). Returns (d, swaps): d is the
+    last pivot, +-det of the first n columns, or None when they are
+    singular; swaps counts row exchanges.
     """
-    width = len(work[0])
-    prev = _I_ONE
+    prev = 1
     swaps = 0
-    for k in range(n):
-        piv = next((r for r in range(k, n) if work[r][k][-1]), None)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if work[r][c]), None)
         if piv is None:
             return None, swaps
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
             swaps += 1
-        prow = work[k]
-        p = prow[k]
-        for i in range(n) if jordan else range(k + 1, n):
+        prow = work[c]
+        p = prow[c]
+        tail = prow[c + 1:]
+        for i in range(n) if jordan else range(c + 1, n):
             row = work[i]
-            f = row[k]
-            if i == k or (not f[-1] and p == prev):
+            f = row[c]
+            if i == c or (not f and p == prev):
                 continue
-            for j in range(k + 1, width):
-                a, b = row[j], prow[j]
-                if f[-1] and b[-1]:
-                    t = _int_sub(_int_mul(p, a), _int_mul(f, b))
-                elif a[-1]:
-                    t = _int_mul(p, a)
-                else:
-                    continue
-                row[j] = _int_exact_div(t, prev)
+            row[c + 1:] = [(p * a - f * b) // prev for a, b in zip(row[c + 1:], tail)]
         prev = p
     return prev, swaps
+
+
+def _determinant(work, scales, k: int) -> RationalFunction:
+    """det(work) / prod(scales), canonicalized, for n packed rows of width k."""
+    det, swaps = _bareiss(work, len(work), jordan=False)
+    if det is None:
+        return RationalFunction(0)
+    scale = reduce(_int_mul, scales, [(-1) ** swaps])
+    return RationalFunction(_canon(_unpack(det, k), 1), _canon(scale, 1))
 
 
 class TransferMatrix:
@@ -290,9 +334,10 @@ class TransferMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        # (X Y)_ij = P_i . Q_j / (l_i m_j) = (0 - P_i . Q_j) / -(l_i m_j), canonicalized once.
-        rows, cols = _cleared_lines(self, other)
-        out = [RationalFunction(_canon(_minus_dot(_I_ZERO, P, Q), 1), -_canon(_int_mul(l, m), 1))
+        # (X Y)_ij = P_i . Q_j / (l_i m_j), canonicalized once.
+        rows, cols, k = _packed_lines(self, other)
+        out = [RationalFunction(_canon(_unpack(sum(map(mul, P, Q)), k), 1),
+                                _canon(_unpack(l * m, k), 1))
                for P, l in rows for Q, m in cols]
         return TransferMatrix(self.rows, other.cols, out, self.row_blocks, other.col_blocks)
 
@@ -314,14 +359,13 @@ class TransferMatrix:
         if not self.is_square:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        cleared = [_cleared(self.row(i)) for i in range(n)]
-        work = [P + [_I_ONE if i == j else _I_ZERO for j in range(n)]
-                for i, (P, _) in enumerate(cleared)]
+        rows, scales, k = _packed_rows(self, 1)
+        work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
         d = _bareiss(work, n, jordan=True)[0]
         if d is None:
             raise SingularMatrix("matrix is singular as a rational matrix")
-        den = _canon(d, 1)
-        ents = [RationalFunction(_canon(_int_mul(work[i][n + j], cleared[j][1]), 1), den)
+        den = _canon(_unpack(d, k), 1)
+        ents = [RationalFunction(_canon(_int_mul(_unpack(work[i][n + j], k), scales[j]), 1), den)
                 for i in range(n) for j in range(n)]
         return TransferMatrix(n, n, ents, self.col_blocks, self.row_blocks)
 
@@ -329,15 +373,7 @@ class TransferMatrix:
         """Exact determinant, det P / prod(l_i), from the forward elimination."""
         if not self.is_square:
             raise DimensionMismatch("determinant needs a square matrix")
-        n = self.rows
-        cleared = [_cleared(self.row(i)) for i in range(n)]
-        det, swaps = _bareiss([P for P, _ in cleared], n, jordan=False)
-        if det is None:
-            return RationalFunction(0)
-        scale = [(-1) ** swaps]
-        for _, l in cleared:
-            scale = _int_mul(scale, l)
-        return RationalFunction(_canon(det, 1), _canon(scale, 1))
+        return _determinant(*_packed_rows(self, 0))
 
     def evaluate(self, point: complex) -> np.ndarray:
         """Numeric value at a complex point, as a complex numpy array."""
@@ -348,27 +384,17 @@ class TransferMatrix:
         return out
 
 
-def _cleared_lines(X: TransferMatrix, Y: TransferMatrix):
-    """The rows (P_i, l_i) of X and the columns (Q_j, m_j) of Y, cleared."""
-    return ([_cleared(X.row(i)) for i in range(X.rows)],
-            [_cleared(Y.entries[j::Y.cols]) for j in range(Y.cols)])
-
-
-def _minus_dot(acc, P, Q):
-    """acc - P . Q over Z[z], for lines P and Q of integer polynomials."""
-    for a, b in zip(P, Q):
-        if a[-1] and b[-1]:
-            acc = _int_sub(acc, _int_mul(a, b))
-    return acc
-
-
-def _residuals(rows, cols):
-    """delta_ij l_i m_j - P_i . Q_j for cleared rows (P_i, l_i) of X and
-    columns (Q_j, m_j) of Y: (I - X Y)_ij times l_i m_j over Z[z], lazily
-    and in row-major order."""
-    for i, (P, l) in enumerate(rows):
-        for j, (Q, m) in enumerate(cols):
-            yield _minus_dot(_int_mul(l, m) if i == j else _I_ZERO, P, Q)
+def _packed_lines(X: TransferMatrix, Y: TransferMatrix):
+    """The rows (P_i, l_i) of X and the columns (Q_j, m_j) of Y, cleared and
+    packed, and their width k. In l1 norms, delta_ij l_i m_j - P_i . Q_j is
+    at most |l_i| |m_j| + sum_k |P_ik| |Q_kj|, so at most
+    (|l_i| + sum_k |P_ik|) (|m_j| + max_k |Q_kj|), which k holds."""
+    rows = [_cleared(X.row(i)) for i in range(X.rows)]
+    cols = [_cleared(Y.entries[j::Y.cols]) for j in range(Y.cols)]
+    k = _width(max(_norm(l) + sum(map(_norm, P)) for P, l in rows)
+               * max(_norm(m) + max(map(_norm, Q)) for Q, m in cols))
+    return ([([_pack(p, k) for p in P], _pack(l, k)) for P, l in rows],
+            [([_pack(q, k) for q in Q], _pack(m, k)) for Q, m in cols], k)
 
 
 def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
@@ -377,37 +403,41 @@ def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
     For a square product that is I; a wide one must be [I O] and a tall
     one [I; O]. Decided without canonicalizing any entry: with the rows of
     X cleared to (P_i, l_i) and the columns of Y to (Q_j, m_j),
-    (X Y)_ij = P_i . Q_j / (l_i m_j), so the test
-    P_i . Q_j == delta_ij l_i m_j is exact. Stops at the first nonzero
-    residual.
+    (X Y)_ij = P_i . Q_j / (l_i m_j), so the packed test
+    P_i . Q_j == delta_ij l_i m_j is exact. Stops at the first mismatch.
     """
     if X.cols != Y.rows:
         raise DimensionMismatch(f"cannot multiply {X.shape} by {Y.shape}")
-    return not any(r[-1] for r in _residuals(*_cleared_lines(X, Y)))
+    rows, cols, _ = _packed_lines(X, Y)
+    return all(sum(map(mul, P, Q)) == (l * m if i == j else 0)
+               for i, (P, l) in enumerate(rows) for j, (Q, m) in enumerate(cols))
 
 
 def loop_determinant(D: TransferMatrix, X: TransferMatrix) -> RationalFunction:
     """det(I - D X), exact, without forming D X.
 
-    With the rows of D cleared to (P_i, l_i) and all of X over one
-    denominator, X = Q / m, row i of I - D X times l_i m is
-    delta_ij l_i m - P_i . Q_j over Z[z]. One forward elimination of those
-    rows gives det(I - D X) = +-det / (prod(l_i) m^n), canonicalized once.
+    With the rows of D cleared to (P_i, l_i) and X = Q / m over one
+    denominator, row i of (I - D X) l_i m is delta_ij l_i m - P_i . Q_j,
+    of l1 norm at most |l_i| |m| + sum_k |P_ik| |Q_k| (|Q_k| that of row k
+    of Q). Those rows are formed packed and eliminated once:
+    det(I - D X) = det / (prod(l_i) m^n), canonicalized once.
     """
     n = D.rows
     if D.cols != X.rows or X.cols != n:
         raise DimensionMismatch(f"{D.shape} and {X.shape} do not close a loop")
     rows = [_cleared(D.row(i)) for i in range(n)]
     Q, m = _cleared(X.entries)
-    cols = [(Q[j::n], m) for j in range(n)]
-    flat = list(_residuals(rows, cols))
-    det, swaps = _bareiss([flat[i * n:(i + 1) * n] for i in range(n)], n, jordan=False)
-    if det is None:
-        return RationalFunction(0)
-    scale = [(-1) ** swaps]
-    for _, l in rows:
-        scale = _int_mul(_int_mul(scale, l), m)
-    return RationalFunction(_canon(det, 1), _canon(scale, 1))
+    q_norms = [sum(map(_norm, Q[r * n:(r + 1) * n])) for r in range(D.cols)]
+    k = _width(prod(max(1, _norm(l) * _norm(m) + sum(map(mul, map(_norm, P), q_norms)))
+                    for P, l in rows))
+    cols = [[_pack(q, k) for q in Q[j::n]] for j in range(n)]
+    mk = _pack(m, k)
+    work = []
+    for i, (P, l) in enumerate(rows):
+        P = [_pack(p, k) for p in P]
+        work.append([(_pack(l, k) * mk if i == j else 0) - sum(map(mul, P, col))
+                     for j, col in enumerate(cols)])
+    return _determinant(work, [l for _, l in rows] + [m] * n, k)
 
 
 def hstack(blocks: list[TransferMatrix]) -> TransferMatrix:

@@ -285,19 +285,6 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _int_sub(a: list[int], b: list[int]) -> list[int]:
-    """a - b for integer polynomials, stripped."""
-    if len(a) >= len(b):
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] -= c
-    else:
-        out = [-c for c in b]
-        for i, c in enumerate(a):
-            out[i] += c
-    return _int_strip(out)
-
-
 def _int_exact_div(a: list[int], b: list[int]) -> list[int]:
     """a / b for integer polynomials when b divides a exactly in Z[z].
 

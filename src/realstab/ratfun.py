@@ -31,8 +31,9 @@ class RationalFunction:
         den = _as_poly(den)
         if den.is_zero:
             raise ZeroDenominator("denominator is identically zero")
-        if num.is_zero:
-            self.num = _ZERO
+        if num.is_zero or den.is_one:
+            # 0 is 0 / 1, and num / 1 is reduced over a monic denominator.
+            self.num = _ZERO if num.is_zero else num
             self.den = _ONE
             return
         g = poly_gcd(num, den)

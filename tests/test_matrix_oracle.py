@@ -16,20 +16,23 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.fields import field  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from realstab import matrix  # noqa: E402
 from realstab.errors import DimensionMismatch, SingularMatrix  # noqa: E402
 from realstab.matrix import (  # noqa: E402
     StateSpace,
     TransferMatrix,
     _cleared,
+    _pack,
+    _unpack,
     loop_determinant,
     product_is_identity,
 )
-from realstab.poly import Polynomial  # noqa: E402
+from realstab.poly import Polynomial, _int_strip  # noqa: E402
 from realstab.ratfun import RationalFunction  # noqa: E402
 
 K = field("z", sympy.QQ)[0]
@@ -253,6 +256,68 @@ def test_row_clearing_round_trip(row):
     for d in dens:
         lcm = lcm.lcm(d)
     assert to_k(RationalFunction(scale)).numer.degree() == lcm.degree()
+
+
+# A width k and a stripped integer polynomial whose coefficients are below 2^(k-1).
+packable = st.integers(2, 80).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.integers(1 - 2 ** (k - 1), 2 ** (k - 1) - 1), max_size=8).map(_int_strip)))
+
+
+@SETTINGS
+@given(packable)
+@example((2, [0]))
+@example((2, [1]))
+@example((3, [-3]))
+@example((8, [5, 0, -127]))
+@example((64, [0, 0, -(2 ** 63 - 1)]))
+def test_pack_round_trip(case):
+    k, p = case
+    assert _unpack(_pack(p, k), k) == p
+
+
+# Rows whose l1 norms are carried by one large entry each: the minors come
+# within a factor of 2 of the packing bound (the product of the row norms),
+# and for a diagonal of monomials the determinant's coefficient is that bound.
+BIG = 1000
+DENSE = TransferMatrix.from_rows([[BIG * Z, 1, -1], [-1, BIG * Z, 1], [1, -1, BIG * Z]])
+DIAGONAL = TransferMatrix.from_rows([[5 * Z, 0, 0], [0, -7 * Z * Z, 0], [0, 0, 9]])
+
+
+def test_minors_reach_the_packing_bound():
+    det = DIAGONAL.determinant()
+    assert det == RationalFunction(-315 * Z * Z * Z) and -det.num.leading == 5 * 7 * 9
+    assert_inverse_matches(DIAGONAL)
+    # det(DENSE) = (BIG z)^3 + 3 BIG z. Its lead BIG^3 has the bit length of
+    # the bounds (BIG + 2)^3 of the determinant and (BIG + 3)^3 of the
+    # inverse (the identity block adds 1 to each row norm); that of
+    # loop_determinant(I - DENSE, I) is (BIG + 4)^3.
+    assert DENSE.determinant() == RationalFunction(BIG ** 3 * Z * Z * Z + 3 * BIG * Z)
+    assert all((BIG ** 3).bit_length() == ((BIG + e) ** 3).bit_length() for e in (2, 3, 4))
+    assert_inverse_matches(DENSE)
+    eye = TransferMatrix.identity(3)
+    assert loop_determinant(eye - DENSE, eye) == DENSE.determinant()
+    # The product's (0, 0) entry BIG^2 z^2 - 2 against its bound (BIG + 3)(BIG + 1).
+    assert (BIG ** 2).bit_length() == ((BIG + 3) * (BIG + 1)).bit_length()
+    assert_product_matches(DENSE, DENSE)
+
+
+def test_one_bit_narrower_packing_breaks_the_results(monkeypatch):
+    eye = TransferMatrix.identity(3)
+    cases = [
+        (DIAGONAL.determinant, RationalFunction(-315 * Z * Z * Z)),
+        (DENSE.determinant, DENSE.determinant()),
+        (DENSE.inverse, DENSE.inverse()),
+        (lambda: loop_determinant(eye - DENSE, eye), DENSE.determinant()),
+        (lambda: DENSE * DENSE, DENSE * DENSE),
+    ]
+    width = matrix._width
+    monkeypatch.setattr(matrix, "_width", lambda bound: width(bound) - 1)
+    for compute, right in cases:
+        try:
+            assert compute() != right
+        except SingularMatrix:
+            pass  # a pivot packed to zero: wrong as well
 
 
 @SETTINGS
