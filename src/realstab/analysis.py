@@ -9,7 +9,11 @@ has modulus below 1 (tolerance STABILITY_TOL, with an explicit "marginal"
 verdict for poles in the boundary band instead of a coin flip). The peak
 gain is the supremum over z = exp(i*omega), omega in [0, pi], estimated on
 a 4096-point grid and sharpened by zooming: the bracket around the maximum
-is re-gridded with ZOOM_POINTS points until it is narrower than 1e-13. One
+is re-gridded with ZOOM_POINTS points until both neighbours of the level's
+maximum lie within FLAT_ULPS ulps of it, or the bracket is narrower than
+1e-13. Near a quadratic peak with its vertex between those neighbours, the
+peak exceeds the level's maximum by at most an eighth of the gap to the
+lower neighbour, so further levels could add at most one ulp. One
 evaluator per matrix serves the grid, the zoom and freq_response. Beyond
 two wide, the SVD runs only at points whose Frobenius norm (an upper bound
 on the largest singular value) reaches the exact value at the point of
@@ -34,6 +38,7 @@ from .ratfun import RationalFunction
 STABILITY_TOL = 1e-9
 HINF_GRID = 4096
 ZOOM_POINTS = 65
+FLAT_ULPS = 8
 POLE_GRID_TOL = 1e-12
 
 STABLE = "stable"
@@ -142,6 +147,7 @@ def require_stable(Xm, what: str) -> None:
 _GRID = np.linspace(0.0, math.pi, HINF_GRID)
 _GRID_Z = np.exp(1j * _GRID)
 _ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
+_EPS = float(np.finfo(float).eps)
 
 
 def _on_circle(coeffs_desc: list[float], zs: np.ndarray) -> np.ndarray:
@@ -195,30 +201,34 @@ class _GainEvaluator:
             out[:, k] = x
         return out.reshape(len(zs), self.rows, self.cols)
 
-    def peak(self, zs: np.ndarray) -> tuple[int, float]:
+    def peak(self, zs: np.ndarray) -> tuple[int, float, bool]:
         """Index and value of the first maximum over the points zs of the
-        largest singular value; the same pair as argmax over every point.
+        largest singular value, the same pair as argmax over every point,
+        and whether both neighbours of that maximum lie within FLAT_ULPS
+        ulps of it.
 
         Beyond two wide, the stacked SVD runs only where the Frobenius norm,
         an upper bound on the largest singular value, reaches the exact
         value at the point of largest bound (the floor). A dropped point lies
         below the floor, which is at most the maximum, so it cannot be the
-        first maximum. The 1e-9 slack covers rounding in the bound; a
+        first maximum, and as a neighbour it is more than 1e-9 below the
+        maximum, never flat. The 1e-9 slack covers rounding in the bound; a
         non-finite bound or floor keeps the point.
         """
         if min(self.rows, self.cols) <= 2:
             sig = _sigma_max(list(self.values(zs)), self.rows, self.cols)
-            k = int(np.argmax(sig))
-            return k, float(sig[k])
-        m = self.matrices(zs)
-        re, im = m.real, m.imag
-        bound = np.sqrt(np.einsum("pij,pij->p", re, re) + np.einsum("pij,pij->p", im, im))
-        top = int(np.argmax(bound))
-        floor = np.linalg.svd(m[top:top + 1], compute_uv=False)[0, 0]
-        idx = np.flatnonzero(~(bound < floor * (1 - 1e-9)))
-        sig = np.linalg.svd(m[idx], compute_uv=False)[:, 0]
+        else:
+            m = self.matrices(zs)
+            re, im = m.real, m.imag
+            bound = np.sqrt(np.einsum("pij,pij->p", re, re) + np.einsum("pij,pij->p", im, im))
+            top = int(np.argmax(bound))
+            floor = np.linalg.svd(m[top:top + 1], compute_uv=False)[0, 0]
+            idx = np.flatnonzero(~(bound < floor * (1 - 1e-9)))
+            sig = np.full(len(zs), -np.inf)
+            sig[idx] = np.linalg.svd(m[idx], compute_uv=False)[:, 0]
         k = int(np.argmax(sig))
-        return int(idx[k]), float(sig[k])
+        low = min(sig[max(k - 1, 0)], sig[min(k + 1, len(sig) - 1)])
+        return k, float(sig[k]), bool(sig[k] - low <= FLAT_ULPS * _EPS * sig[k])
 
 
 def hinf_peak(Xm) -> tuple[float, float]:
@@ -232,19 +242,20 @@ def hinf_peak(Xm) -> tuple[float, float]:
     require_stable(Xm, "peak gain undefined: matrix")
     gain = _GainEvaluator(Xm)
     omegas = _GRID
-    k, best_val = gain.peak(_GRID_Z)
+    k, best_val, flat = gain.peak(_GRID_Z)
     best_om = float(omegas[k])
-    # Re-grid the neighbours of each maximum; only strict improvements move
-    # the estimate, so the grid value stays a lower bound.
+    # Re-grid the neighbours of each maximum until the level is flat or the
+    # bracket vanishes; only strict improvements move the estimate, so the
+    # grid value stays a lower bound.
     while True:
         lo = float(omegas[max(k - 1, 0)])
         hi = float(omegas[min(k + 1, len(omegas) - 1)])
-        if hi - lo < 1e-13:
+        if flat or hi - lo < 1e-13:
             if best_val == 0.0 and not Xm.is_zero():
                 raise ValueError("peak gain of a nonzero matrix underflows to 0.0")
             return best_val, best_om
         omegas = lo + (hi - lo) * _ZOOM_STEPS
-        k, val = gain.peak(np.exp(1j * omegas))
+        k, val, flat = gain.peak(np.exp(1j * omegas))
         if val > best_val:
             best_val, best_om = val, float(omegas[k])
 

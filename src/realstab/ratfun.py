@@ -139,6 +139,11 @@ class RationalFunction:
             return RationalFunction(0)
         if self.den.is_one and other.den.is_one:
             return RationalFunction._reduced(self.num * other.num, self.den)
+        # A nonzero constant factor keeps a canonical value canonical.
+        if self.is_constant:
+            return RationalFunction._reduced(self.num * other.num, other.den)
+        if other.is_constant:
+            return RationalFunction._reduced(self.num * other.num, self.den)
         # Cross-reduce so the product of two canonical values is canonical
         # without a final full-degree gcd.
         g1 = poly_gcd(self.num, other.den)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .iop import IopQuadruple
 from .matrix import TransferMatrix, loop_determinant
-from .poly import Polynomial
+from .poly import _canon, _monomial
 from .ratfun import RationalFunction
 from .realization import (
     RealizationSystem,
@@ -112,16 +112,12 @@ def _partition_of(shape):
     return tuple(row_blocks), tuple(col_blocks)
 
 
-def _quantize(x: float, grid: int) -> Fraction:
-    return Fraction(round(x * grid), grid)
-
-
 def _fir_entry(rng, order: int) -> RationalFunction:
-    taps = [_quantize(c, _COEFF_GRID) for c in rng.uniform(-1.0, 1.0, order + 1)]
-    if order == 0:
-        return RationalFunction(taps[0])
-    num = Polynomial(list(reversed(taps)))
-    den = Polynomial([0] * order + [1])
+    """Taps uniform on [-1, 1], rounded to the dyadic grid, over z^order."""
+    taps = [round(c * _COEFF_GRID) for c in rng.uniform(-1.0, 1.0, order + 1)]
+    num, den = _canon(taps[::-1], _COEFF_GRID), _monomial(order)
+    if taps[-1] or not order:  # z does not divide num, so num / z^order is reduced
+        return RationalFunction._reduced(num, den)
     return RationalFunction(num, den)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from realstab.analysis import (
+    FLAT_ULPS,
     HINF_GRID,
     ZOOM_POINTS,
     _GainEvaluator,
@@ -21,8 +22,11 @@ from realstab.analysis import (
 )
 from realstab.errors import NotStable, PoleOnGrid
 from realstab.matrix import TransferMatrix
+from realstab.uncertainty import _fir_entry
 
 from conftest import HALF, Z, random_proper, rf
+
+EPS = float(np.finfo(float).eps)
 
 
 def _stable_entry(rng):
@@ -155,7 +159,8 @@ def _reference_hinf_peak(X):
     while True:
         lo = float(omegas[max(k - 1, 0)])
         hi = float(omegas[min(k + 1, len(omegas) - 1)])
-        if hi - lo < 1e-13:
+        low = min(sig[max(k - 1, 0)], sig[min(k + 1, len(sig) - 1)])
+        if sig[k] - low <= FLAT_ULPS * EPS * sig[k] or hi - lo < 1e-13:
             return best_val, best_om
         omegas = lo + (hi - lo) * np.linspace(0.0, 1.0, ZOOM_POINTS)
         sig = sigma(omegas)
@@ -239,6 +244,84 @@ def test_hinf_peak_refines_sharp_resonance():
     near = np.linspace(omega - 1e-3, omega + 1e-3, 200001)
     ref = np.max(1.0 / np.abs(np.polyval(coeffs, np.exp(1j * near))))
     assert abs(value - ref) <= 1e-9 * ref
+
+
+def _exhaustive_hinf_peak(X):
+    """The zoom without the flatness stop, on hinf_peak's own evaluator:
+    re-grid until the bracket is narrower than 1e-13."""
+    gain = _GainEvaluator(X)
+    omegas = np.linspace(0.0, math.pi, HINF_GRID)
+    k, best_val, _ = gain.peak(np.exp(1j * omegas))
+    best_om = float(omegas[k])
+    while True:
+        lo = float(omegas[max(k - 1, 0)])
+        hi = float(omegas[min(k + 1, len(omegas) - 1)])
+        if hi - lo < 1e-13:
+            return best_val, best_om
+        omegas = lo + (hi - lo) * np.linspace(0.0, 1.0, ZOOM_POINTS)
+        k, val, _ = gain.peak(np.exp(1j * omegas))
+        if val > best_val:
+            best_val, best_om = val, float(omegas[k])
+
+
+def _assert_within_flat_tolerance(X):
+    # The flat stop ends a prefix of the exhaustive zoom, so it never exceeds
+    # the exhaustive value and, by the gap / 8 bound, trails it by at most
+    # FLAT_ULPS ulps.
+    value, omega = hinf_peak(X)
+    ref, ref_omega = _exhaustive_hinf_peak(X)
+    assert ref * (1 - FLAT_ULPS * EPS) <= value <= ref
+    return value, omega, ref_omega
+
+
+def _fir_matrix(seed, rows, cols, order):
+    gen = np.random.default_rng(seed)
+    return TransferMatrix(rows, cols, [_fir_entry(gen, order) for _ in range(rows * cols)])
+
+
+def test_flat_stop_on_fir_draws():
+    for rows in range(1, 4):
+        for cols in range(1, 4):
+            for order in range(1, 5):
+                for seed in range(3):
+                    _assert_within_flat_tolerance(_fir_matrix(seed, rows, cols, order))
+
+
+def test_flat_stop_on_stable_matrices(rng):
+    for n in range(1, 5):
+        for rows, cols in ((n, n), (n, 1), (1, n), (n, 2)):
+            for _ in range(2):
+                X = TransferMatrix(rows, cols, [_stable_entry(rng) for _ in range(rows * cols)])
+                _assert_within_flat_tolerance(X)
+
+
+@pytest.mark.parametrize("r2", [Fraction(9801, 10000), Fraction(998001, 1000000)])
+def test_flat_stop_on_sharp_resonances(r2):
+    # Poles at modulus 0.99 and 0.999, at angles off the grid.
+    for a in (Fraction(1), Fraction(-3, 2), Fraction(1, 7)):
+        f = rf(1, Z * Z - a * Z + r2)
+        _assert_within_flat_tolerance(TransferMatrix(1, 1, [f]))
+        _assert_within_flat_tolerance(TransferMatrix(2, 2, [f, rf(HALF), rf(0), f * f]))
+
+
+def test_flat_stop_keeps_peaks_at_the_band_edges():
+    at_dc = TransferMatrix(1, 1, [rf(1, Z - HALF)])
+    value, omega, ref_omega = _assert_within_flat_tolerance(at_dc)
+    assert omega == ref_omega == 0.0 and abs(value - 2.0) < 1e-12
+    at_pi = TransferMatrix(2, 2, [rf(1, Z + HALF), rf(0), rf(0), rf(HALF, Z + Fraction(9, 10))])
+    value, omega, ref_omega = _assert_within_flat_tolerance(at_pi)
+    assert omega == ref_omega and abs(omega - math.pi) < 1e-12 and abs(value - 5.0) < 1e-12
+
+
+def test_fir_draw_peak_takes_at_most_five_evaluations(monkeypatch):
+    # The exhaustive zoom takes 8: the grid and 7 levels down to 1e-13.
+    calls = []
+    peak = _GainEvaluator.peak
+    monkeypatch.setattr(_GainEvaluator, "peak", lambda self, zs: calls.append(1) or peak(self, zs))
+    for seed in range(40):
+        calls.clear()
+        hinf_peak(_fir_matrix(seed, 2, 2, 1 + seed % 4))
+        assert len(calls) <= 5
 
 
 def test_freq_response_constant():

@@ -51,6 +51,16 @@ def test_multiplication_inverse_pair():
     assert RationalFunction(1, Z) * RationalFunction(Z) == RationalFunction(1)
 
 
+def test_constant_factor_matches_full_reduction():
+    rng = random.Random(7)
+    for _ in range(200):
+        f = random_proper(rng, 3)
+        c = RationalFunction(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+        want = canonicalize(f.num * c.num, f.den)
+        for got in (f * c, c * f):
+            assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_division_and_inverse():
     f = RationalFunction(Z - 1, Z + 2)
     assert f / f == RationalFunction(1)

@@ -1,7 +1,9 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from realstab import uncertainty
@@ -63,6 +65,25 @@ def test_order_zero_gives_constants():
     spec = UncertaintySpec(block_mask={("y", "u")}, radius=1.0, sample_order=0, seed=1)
     delta = sample_delta(spec, G_SHAPE)
     assert all(e.is_constant for e in delta.entries)
+
+
+def test_raw_fir_draws_are_pinned():
+    # sha256 of the raw draws of seeds 0-499, orders 0-4 in turn; any change
+    # to the taps, their rounding or their canonical form moves it.
+    digest = hashlib.sha256()
+    for seed in range(500):
+        gen = np.random.default_rng(seed)
+        for order in range(5):
+            digest.update(repr(uncertainty._fir_entry(gen, order)).encode() + b";")
+    assert digest.hexdigest() == ("a343420b63ab6b2c5883be620b2f0d52"
+                                  "0ba08bb9aee42501d32213c410309198")
+
+
+def test_fir_draw_with_zero_constant_tap_is_reduced():
+    class Taps:
+        def uniform(self, lo, hi, size):
+            return np.array([0.5, 0.25, 0.0])
+    assert uncertainty._fir_entry(Taps(), 2) == rf(HALF * Z + Fraction(1, 4), Z)
 
 
 def test_empty_mask_rejected():
