@@ -16,28 +16,48 @@ Evaluation is a ring map, so each exact division stays exact. k holds an
 l1 bound on every value unpacked or compared, so unpacking and the zero
 and equality tests are exact too: in an elimination every such value is
 a minor of the input, and a minor's l1 norm is at most the product of
-its rows' (expand it over permutations). On a 2-core Xeon VM (Python
-3.11), I - M/4 with dense random proper entries of degree up to 2 (seeds
-0-4, best of 3, two runs) inverts in 4-12 ms at 6 x 6, 10-41 ms at 7 x 7
-and 36-100 ms at 8 x 8. At 8 x 8 (seed 0) the elimination takes 29 ms of
-49 ms; the 64 gcds that reduce the result entries over a degree-58
-determinant take most of the rest.
+its rows' (expand it over permutations).
+
+The inverse reduces its n^2 entries over the one determinant d in one pass
+(_over_determinant): one integer gcd per entry finds its common factor
+with d, or proves there is none. On a 2-core Xeon VM (Python 3.11),
+I - M/4 with dense random proper entries of degree up to 2 (seeds 0-4,
+best of 5, two runs) inverts in 2-10 ms at 6 x 6, 8-26 ms at 7 x 7 and
+26-90 ms at 8 x 8. At 8 x 8 (seed 0) the elimination takes 38-39 ms of
+57-60 ms; reducing the 64 entries over the degree-58 determinant takes
+most of the rest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
-from .poly import _ONE, Polynomial, _canon, _int_exact_div, _int_mul, _raw, poly_gcd
+from .poly import (
+    _ONE,
+    Polynomial,
+    _candidate,
+    _canon,
+    _int_divides,
+    _int_exact_div,
+    _int_mul,
+    _pack,
+    _raw,
+    _unpack,
+    poly_gcd,
+)
 from .ratfun import RationalFunction, as_ratfun
 
 Blocks = tuple[tuple[str, int], ...]
+
+# Shared entries; a RationalFunction is immutable once constructed.
+_ZERO_ENTRY = RationalFunction(0)
+_ONE_ENTRY = RationalFunction(1)
 
 
 def _as_entry(value) -> RationalFunction:
@@ -121,29 +141,6 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _pack(p: list[int], k: int) -> int:
-    """p(2^k): an integer polynomial as one integer (Kronecker substitution)."""
-    v = 0
-    for c in reversed(p):
-        v = (v << k) + c
-    return v
-
-
-def _unpack(v: int, k: int) -> list[int]:
-    """The integer polynomial p with p(2^k) == v and every coefficient in
-    (-2^(k-1), 2^(k-1)]: the balanced base-2^k digits of v, ascending."""
-    mask = (1 << k) - 1
-    half = 1 << (k - 1)
-    out = []
-    while v:
-        d = v & mask
-        if d > half:
-            d -= mask + 1
-        out.append(d)
-        v = (v - d) >> k
-    return out or [0]
-
-
 def _packed_rows(M: TransferMatrix, extra: int):
     """The rows of M cleared to (P_i, l_i), as (packed P_i, l_i, k), with k
     for their minors, each row's l1 norm raised by extra (1 for [P | I])."""
@@ -195,6 +192,52 @@ def _determinant(work, scales, k: int) -> RationalFunction:
     return RationalFunction(_canon(_unpack(det, k), 1), _canon(scale, 1))
 
 
+def _over_determinant(nums: list[list[int]], d: list[int]) -> list[RationalFunction]:
+    """The canonical N / d for every integer polynomial N of nums, d nonzero.
+
+    pp(d), its value at xi = 2^k >= 2 |pp(d)|_inf + 29 and the monic d are
+    found once. A nonconstant G dividing pp(d) has every root below
+    1 + |pp(d)|_inf (Cauchy), so |G(xi)| > xi / 2; when G also divides N,
+    G(xi) divides gcd(N(xi), pp(d)(xi)). So a gcd <= xi / 2 certifies N
+    coprime to d (Char, Geddes & Gonnet 1989), and N / d is N / lc(d) over
+    the monic d. Otherwise the balanced base-xi digits of the gcd give a
+    candidate h that, by their theorem, is the gcd once it divides both N
+    and pp(d) exactly; pp(d) / h is found once per distinct h, and an
+    entry whose candidate fails takes the full constructor.
+    """
+    content = gcd(*d) if d[-1] > 0 else -gcd(*d)
+    pd = [c // content for c in d]
+    monic = _raw(pd, pd[-1])
+    k = (2 * max(map(abs, pd)) + 29).bit_length()
+    half = 1 << (k - 1)
+    at = _pack(pd, k)
+    quotients = {}
+    out = []
+    for N in nums:
+        if not N[-1]:
+            out.append(_ZERO_ENTRY)
+            continue
+        g = gcd(_pack(N, k), at)
+        if g <= half:
+            p, q, den = N, pd, monic
+        else:
+            h = _candidate(g, k)
+            key = tuple(h)
+            if key not in quotients:
+                quotients[key] = _int_divides(h, pd)
+            q = quotients[key]
+            p = None if q is None else _int_divides(h, N)
+            if p is None:
+                out.append(RationalFunction(_canon(N, 1), _canon(d, 1)))
+                continue
+            den = _raw(q, q[-1])
+        if content < 0:
+            p = [-c for c in p]
+        # N / d = p / (content q) = p / (content lc(q)) over the monic q / lc(q).
+        out.append(RationalFunction._reduced(_canon(p, abs(content) * q[-1]), den))
+    return out
+
+
 class TransferMatrix:
     """Dense matrix of canonical rational functions with optional partitions."""
 
@@ -231,14 +274,12 @@ class TransferMatrix:
 
     @classmethod
     def identity(cls, n, row_blocks=None, col_blocks=None) -> "TransferMatrix":
-        ents = [RationalFunction(1) if i == j else RationalFunction(0)
-                for i in range(n) for j in range(n)]
+        ents = [_ONE_ENTRY if i == j else _ZERO_ENTRY for i in range(n) for j in range(n)]
         return cls(n, n, ents, row_blocks, col_blocks)
 
     @classmethod
     def zeros(cls, rows, cols, row_blocks=None, col_blocks=None) -> "TransferMatrix":
-        z = RationalFunction(0)
-        return cls(rows, cols, [z] * (rows * cols), row_blocks, col_blocks)
+        return cls(rows, cols, [_ZERO_ENTRY] * (rows * cols), row_blocks, col_blocks)
 
     @classmethod
     def constant(cls, grid) -> "TransferMatrix":
@@ -364,9 +405,8 @@ class TransferMatrix:
         d = _bareiss(work, n, jordan=True)[0]
         if d is None:
             raise SingularMatrix("matrix is singular as a rational matrix")
-        den = _canon(_unpack(d, k), 1)
-        ents = [RationalFunction(_canon(_int_mul(_unpack(work[i][n + j], k), scales[j]), 1), den)
-                for i in range(n) for j in range(n)]
+        ents = _over_determinant([_int_mul(_unpack(work[i][n + j], k), scales[j])
+                                  for i in range(n) for j in range(n)], _unpack(d, k))
         return TransferMatrix(n, n, ents, self.col_blocks, self.row_blocks)
 
     def determinant(self) -> RationalFunction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 def _coerce(value) -> Fraction | int:
@@ -343,41 +343,53 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _int_divides(b: list[int], a: list[int]) -> bool:
-    """True when b divides a exactly in Z[z] (both nonzero and stripped)."""
+def _int_divides(b: list[int], a: list[int]) -> list[int] | None:
+    """a / b when b divides a exactly in Z[z], else None (both nonzero and stripped)."""
     db = len(b) - 1
     if len(a) <= db:
-        return False
+        return None
     lb = b[-1]
     r = list(a)
-    for k in range(len(a) - 1 - db, -1, -1):
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
         c, m = divmod(r[k + db], lb)
         if m:
-            return False
+            return None
+        q[k] = c
         if c:
             for j in range(db):
                 r[k + j] -= c * b[j]
-    return not any(r[:db])
+    return None if any(r[:db]) else q
 
 
-def _int_eval(a: list[int], x: int) -> int:
+def _pack(p: list[int], k: int) -> int:
+    """p(2^k): an integer polynomial as one integer (Kronecker substitution)."""
     v = 0
-    for c in reversed(a):
-        v = v * x + c
+    for c in reversed(p):
+        v = (v << k) + c
     return v
 
 
-def _int_balanced_digits(v: int, x: int) -> list[int]:
-    """Ascending base-x digits of v in (-x/2, x/2]: the polynomial h with h(x) == v."""
+def _unpack(v: int, k: int) -> list[int]:
+    """The integer polynomial p with p(2^k) == v and every coefficient in
+    (-2^(k-1), 2^(k-1)]: the balanced base-2^k digits of v, ascending."""
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
     out = []
-    half = x // 2
     while v:
-        d = v % x
+        d = v & mask
         if d > half:
-            d -= x
+            d -= mask + 1
         out.append(d)
-        v = (v - d) // x
-    return out
+        v = (v - d) >> k
+    return out or [0]
+
+
+def _candidate(g: int, k: int) -> list[int]:
+    """The heuristic gcd's candidate from g = gcd(a(2^k), b(2^k)): the
+    primitive part of g's balanced base-2^k digits, leading term positive."""
+    h = _int_primitive(_unpack(g, k))
+    return h if h[-1] > 0 else [-c for c in h]
 
 
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -386,24 +398,20 @@ def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
     Heuristic gcd (Char, Geddes & Gonnet 1989): with a, b primitive and
     xi >= 2 min(|a|_inf, |b|_inf) + 2, the primitive part h of the
     balanced base-xi digits of gcd(a(xi), b(xi)) is gcd(a, b) whenever h
-    divides both a and b. Each try is one integer gcd plus that exact
-    division check; after six values of xi the primitive PRS decides.
+    divides both a and b. xi = 2^k, so evaluation and digits are _pack and
+    _unpack. Each try is one integer gcd plus that exact division check;
+    after six values of xi the primitive PRS decides.
     """
     a = _int_primitive(a)
     b = _int_primitive(b)
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 29).bit_length()
     for _ in range(6):
-        # xi exceeds every root of the operand of smaller norm, so at most
-        # one of a(xi), b(xi) is zero and the gcd is never 0.
-        h = _int_balanced_digits(gcd(_int_eval(a, xi), _int_eval(b, xi)), xi)
-        if len(h) == 1:
-            return [1]  # the candidate's primitive part 1 divides both
-        h = _int_primitive(h)
-        if h[-1] < 0:
-            h = [-c for c in h]
-        if _int_divides(h, a) and _int_divides(h, b):
-            return h
-        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+        # 2^k exceeds every root of the operand of smaller norm, so at most
+        # one of a(2^k), b(2^k) is zero and the gcd is never 0.
+        h = _candidate(gcd(_pack(a, k), _pack(b, k)), k)
+        if len(h) == 1 or (_int_divides(h, a) and _int_divides(h, b)):
+            return h  # [1] divides both
+        k += k // 4 + 2
     return _int_prs_gcd(a, b)
 
 
@@ -442,11 +450,12 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     package produces fall here). The general case takes the gcd of the
     integer numerators, which differs from the rational one only by a
     constant factor, by the heuristic gcd of Char, Geddes & Gonnet (1989):
-    one big-integer gcd of the primitive operands' values at
-    xi = 2 min(|a|_inf, |b|_inf) + 29, whose balanced base-xi digits give
-    a candidate. By their theorem (xi >= 2 min + 2 suffices) a candidate
-    that divides both operands exactly is the gcd; a rejected one grows xi,
-    and after six tries the primitive pseudo-remainder sequence decides.
+    one big-integer gcd of the primitive operands' values at xi = 2^k, the
+    least power of two above 2 min(|a|_inf, |b|_inf) + 29, whose balanced
+    base-xi digits give a candidate. By their theorem (xi >= 2 min + 2
+    suffices) a candidate that divides both operands exactly is the gcd; a
+    rejected one grows k by k // 4 + 2, and after six tries the primitive
+    pseudo-remainder sequence decides.
     """
     if a.is_zero:
         return b.monic()

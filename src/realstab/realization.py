@@ -242,11 +242,17 @@ def stability_matrix(sys: RealizationSystem) -> TransferMatrix:
 
 
 def verify_rs_identity(sys: RealizationSystem, S: TransferMatrix) -> bool:
-    """True iff (I - R) S and S (I - R) both equal the identity exactly."""
+    """True iff (I - R) S and S (I - R) both equal the identity exactly.
+
+    One product decides both. I - R and S are square of one size over the
+    field Q(z), and there a one-sided inverse is two-sided: (I - R) S = I
+    gives det(I - R) det S = 1, so I - R is invertible, S = (I - R)^-1 and
+    S (I - R) = I as well.
+    """
     loop = sys.loop_matrix()
     if loop.shape != S.shape:
         raise DimensionMismatch("stability matrix shape does not match the realization")
-    return product_is_identity(loop, S) and product_is_identity(S, loop)
+    return product_is_identity(loop, S)
 
 
 def apply_transformation(sys: RealizationSystem, S: TransferMatrix,
@@ -315,6 +321,11 @@ def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
     are exact, they agree by the theorem.
     """
     require_stable(delta, what)
+    return _robust_verdict(X, delta, name)
+
+
+def _robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str) -> StabilityVerdict:
+    """robust_verdict for a Delta already known to be stable."""
     det = loop_determinant(delta, X)
     if det.is_zero:
         raise SingularPerturbedLoop(f"{name} is singular")

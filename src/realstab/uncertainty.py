@@ -40,10 +40,10 @@ from .poly import _canon, _monomial
 from .ratfun import RationalFunction
 from .realization import (
     RealizationSystem,
+    _robust_verdict,
     check_mask_labels,
     normalize_mask,
     perturbed_stability,
-    robust_verdict,
     stability_matrix,
 )
 from .sls import SlsOutputFeedback
@@ -194,10 +194,15 @@ def robust_condition(nominal, condition: str) -> tuple[tuple, tuple, TransferMat
 
 def _evaluate_sample(payload, delta: TransferMatrix,
                      hook=None) -> tuple[StabilityVerdict, bool]:
-    """Verdict of one sample (payload: X, or lemma2's (S_hat, R)) and its hook violation."""
+    """Verdict of one sample (payload: X, or lemma2's (S_hat, R)) and its hook violation.
+
+    delta is sample 0, the zero matrix, or a draw that hinf_peak proved
+    stable before rescaling it by a nonnegative rational, which keeps its
+    denominators; so robust_verdict's stability check is skipped.
+    """
     try:
         if isinstance(payload, TransferMatrix):
-            return robust_verdict(payload, delta, "I - Delta*X", "Delta"), False
+            return _robust_verdict(payload, delta, "I - Delta*X"), False
         S_hat, R = payload
         S_delta = perturbed_stability(S_hat, delta)
         verdict = stability_verdict(S_delta)

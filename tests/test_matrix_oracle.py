@@ -27,12 +27,13 @@ from realstab.matrix import (  # noqa: E402
     StateSpace,
     TransferMatrix,
     _cleared,
+    _over_determinant,
     _pack,
     _unpack,
     loop_determinant,
     product_is_identity,
 )
-from realstab.poly import Polynomial, _int_strip  # noqa: E402
+from realstab.poly import Polynomial, _canon, _int_mul, _int_strip  # noqa: E402
 from realstab.ratfun import RationalFunction  # noqa: E402
 
 K = field("z", sympy.QQ)[0]
@@ -416,3 +417,77 @@ def test_loop_determinant_examples_and_shape_errors():
         loop_determinant(D, D)
     with pytest.raises(DimensionMismatch):
         loop_determinant(D, TransferMatrix.zeros(2, 2))
+
+
+@st.composite
+def square_pairs(draw):
+    """X and Y of one size; Y is sometimes X^-1, or X^-1 with one entry bumped."""
+    n = draw(st.integers(1, 3))
+    X = TransferMatrix(n, n, draw(st.lists(ratfuns, min_size=n * n, max_size=n * n)))
+    Y = TransferMatrix(n, n, draw(st.lists(ratfuns, min_size=n * n, max_size=n * n)))
+    if draw(st.booleans()):
+        try:
+            Y = X.inverse()
+        except SingularMatrix:
+            return X, Y
+        if draw(st.booleans()):
+            ents = list(Y.entries)
+            ents[draw(st.integers(0, n * n - 1))] += draw(rationals.filter(bool))
+            Y = TransferMatrix(n, n, ents)
+    return X, Y
+
+
+@SETTINGS
+@given(square_pairs())
+def test_square_product_is_identity_is_symmetric(pair):
+    # Over the field Q(z) a one-sided inverse of a square matrix is two-sided.
+    X, Y = pair
+    assert product_is_identity(X, Y) == product_is_identity(Y, X)
+
+
+# Integer polynomials for the shared-denominator pass: small factors, z, and
+# contents and signs on the determinant.
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(_int_strip)
+factors = int_polys.filter(lambda p: len(p) > 1)
+
+
+@st.composite
+def over_determinant_cases(draw):
+    """d = sign * content * (a product of drawn factors, possibly z and none),
+    and entries N that are zero, or carry a factor of d, a power of z or neither."""
+    shared = draw(st.lists(factors | st.just([0, 1]), max_size=3))
+    d = [draw(st.sampled_from([1, -1, 2, -6, 2 ** 24, -3 * 2 ** 40]))]
+    for f in shared:
+        d = _int_mul(d, f)
+    nums = []
+    for _ in range(draw(st.integers(1, 8))):
+        N = draw(int_polys)
+        for f in draw(st.lists(st.sampled_from(shared + [[0, 1], [0, 0, 1]]), max_size=2)
+                      if shared else st.just([])):
+            N = _int_mul(N, f)
+        nums.append(N)
+    return nums, d
+
+
+def reference_entries(nums, d):
+    return [RationalFunction(_canon(list(N), 1), _canon(list(d), 1)) for N in nums]
+
+
+@SETTINGS
+@given(over_determinant_cases())
+@example(([[0], [3], [0, 5]], [7]))  # zero entries over a constant d
+@example(([[1, 1], [-2, 0, 2], [4, 4]], [-6, -12, -6]))  # (z + 1)^2 with content and sign
+def test_shared_denominator_pass_matches_the_constructor(case):
+    nums, d = case
+    assert _over_determinant(nums, d) == reference_entries(nums, d)
+
+
+def test_rejected_candidate_takes_the_full_constructor(monkeypatch):
+    # With every division check failing, each entry that shares a factor
+    # with d goes through RationalFunction(N, d), and the results stay equal.
+    checks = []
+    monkeypatch.setattr(matrix, "_int_divides", lambda b, a: checks.append(b) and None)
+    d = _int_mul([-4, 1], _int_mul([1, 1], [3]))  # 3 (z - 4)(z + 1)
+    nums = [[1, 1], [2, -6, -8], [0, 5, 5], [0], [7, 0, 1]]
+    assert _over_determinant(nums, d) == reference_entries(nums, d)
+    assert checks

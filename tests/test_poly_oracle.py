@@ -108,29 +108,31 @@ def test_gcd_of_wide_polynomials_matches_sympy(a, b, c):
 
 
 def test_gcd_retries_after_a_rejected_candidate(monkeypatch):
-    # At the first point xi the digits of gcd(a(xi), b(xi)) form a
-    # nonconstant candidate that must be rejected. In a pair from the
-    # identity-suite benchmark (xi = 37) it divides neither operand; for
-    # z + 1 and z^2 + 31 (xi = 31) it is z + 1, which divides only one.
-    points = []
-    evaluate = poly._int_eval
-    monkeypatch.setattr(poly, "_int_eval", lambda p, x: points.append(x) or evaluate(p, x))
-    for a, b, xi in [(Polynomial([3, -4]), Polynomial([-1, -3, 9]), 37),
-                     (Polynomial([1, 1]), Polynomial([31, 0, 1]), 31),
-                     (Polynomial([31, 0, 1]), Polynomial([1, 1]), 31)]:
-        points.clear()
+    # At the first point xi = 2^k the digits of gcd(a(xi), b(xi)) form a
+    # nonconstant candidate that must be rejected. For 4z - 5 and z^2 + 1
+    # (xi = 32, gcd(123, 1025) = 41) it is z + 9, which divides neither
+    # operand; for z + 1 and z^2 + 32 (gcd(33, 1056) = 33) it is z + 1,
+    # which divides only one.
+    widths = []
+    pack = poly._pack
+    monkeypatch.setattr(poly, "_pack", lambda p, k: widths.append(k) or pack(p, k))
+    for a, b, k in [(Polynomial([-5, 4]), Polynomial([1, 0, 1]), 5),
+                    (Polynomial([1, 1]), Polynomial([32, 0, 1]), 5),
+                    (Polynomial([32, 0, 1]), Polynomial([1, 1]), 5)]:
+        widths.clear()
         assert assert_gcd_matches_sympy(a, b).is_one
-        assert len(set(points)) == 2 and min(points) == xi
+        assert len(set(widths)) == 2 and min(widths) == k
 
 
 def test_gcd_when_an_operand_vanishes_at_the_first_point(monkeypatch):
-    # The first point is 2 |b|_inf + 29, here a zero of a: gcd(a(xi), b(xi))
-    # is b(xi), and its candidate b is rejected unless b divides a.
+    # The first point is the least power of two above 2 |b|_inf + 29, here a
+    # zero of a: gcd(a(xi), b(xi)) is b(xi), and its candidate b is rejected
+    # unless b divides a.
     values = []
-    evaluate = poly._int_eval
-    monkeypatch.setattr(poly, "_int_eval", lambda p, x: values.append(evaluate(p, x)) or values[-1])
-    cases = [(Polynomial([-35, 1]) * Polynomial([1, 1]), Polynomial([2, 3, 1]), Polynomial([1, 1])),
-             (Polynomial([-31, 1]), Polynomial([1, 1, 1]), Polynomial([1]))]
+    pack = poly._pack
+    monkeypatch.setattr(poly, "_pack", lambda p, k: values.append(pack(p, k)) or values[-1])
+    cases = [(Polynomial([-64, 1]) * Polynomial([1, 1]), Polynomial([2, 3, 1]), Polynomial([1, 1])),
+             (Polynomial([-32, 1]), Polynomial([1, 1, 1]), Polynomial([1]))]
     for a, b, expected in cases:
         values.clear()
         assert assert_gcd_matches_sympy(a, b) == expected
