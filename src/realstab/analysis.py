@@ -1,12 +1,16 @@
 """Numeric pole, stability, and gain analysis of exact transfer matrices.
 
-This is the only layer that leaves exact arithmetic: denominators are
-imaged to floating point for companion-matrix root finding, and gains are
-measured by singular values on the unit circle.
+This layer leaves exact arithmetic: denominators are imaged to floating
+point for companion-matrix root finding, and gains are measured by
+singular values on the unit circle. (A Monte-Carlo sample's own check is
+exact: realization.robust_verdict counts the zeros of its determinant
+with poly._int_zeros_outside.)
 
 Conventions: a matrix is stable when every entry is proper and every pole
 has modulus below 1 (tolerance STABILITY_TOL, with an explicit "marginal"
-verdict for poles in the boundary band instead of a coin flip). The peak
+verdict for poles in the boundary band instead of a coin flip).
+stability_verdict roots each distinct denominator once, and a pole is a
+witness once per entry over its denominator. The peak
 gain is the supremum over z = exp(i*omega), omega in [0, pi], estimated on
 a 4096-point grid and sharpened by zooming: the bracket around the maximum
 is re-gridded with ZOOM_POINTS points until both neighbours of the level's
@@ -115,24 +119,29 @@ def matrix_poles(Xm) -> list[complex]:
 def stability_verdict(Xm) -> StabilityVerdict:
     """Classify a transfer matrix as stable/marginal/unstable/improper."""
     Xm = _as_matrix(Xm)
-    improper = tuple(
-        (i, j) for i in range(Xm.rows) for j in range(Xm.cols)
-        if not Xm[i, j].is_proper
-    )
+    improper = tuple(divmod(k, Xm.cols) for k, e in enumerate(Xm.entries) if not e.is_proper)
     if improper:
         return StabilityVerdict(IMPROPER, improper)
-    tol = STABILITY_TOL
-    all_poles = matrix_poles(Xm)
-    outside = [(p, abs(p)) for p in all_poles if abs(p) > 1 + tol]
-    if outside:
-        boundary = [(p, abs(p)) for p in all_poles if 1 - tol <= abs(p) <= 1 + tol]
-        witnesses = sorted(outside + boundary, key=lambda w: (-w[1], w[0].real, w[0].imag))
-        return StabilityVerdict(UNSTABLE, tuple(witnesses))
-    boundary = [(p, abs(p)) for p in all_poles if abs(p) >= 1 - tol]
-    if boundary:
-        witnesses = sorted(boundary, key=lambda w: (-w[1], w[0].real, w[0].imag))
-        return StabilityVerdict(MARGINAL, tuple(witnesses))
-    return StabilityVerdict(STABLE)
+    groups: dict = {}  # denominator -> [its first entry, how many entries share it]
+    for e in Xm.entries:
+        group = groups.get(e.den)
+        if group is None:
+            groups[e.den] = [e, 1]
+        else:
+            group[1] += 1
+    # Each pole is a witness once per entry over its denominator.
+    witnesses = []
+    unstable = False
+    for e, count in groups.values():
+        for p in poles(e):
+            modulus = abs(p)
+            if modulus >= 1 - STABILITY_TOL:
+                witnesses += [(p, modulus)] * count
+                unstable = unstable or modulus > 1 + STABILITY_TOL
+    if not witnesses:
+        return StabilityVerdict(STABLE)
+    witnesses.sort(key=lambda w: (-w[1], w[0].real, w[0].imag))
+    return StabilityVerdict(UNSTABLE if unstable else MARGINAL, tuple(witnesses))
 
 
 def require_stable(Xm, what: str) -> None:

@@ -183,13 +183,20 @@ def _bareiss(work, n: int, jordan: bool) -> tuple[int | None, int]:
     return prev, swaps
 
 
-def _determinant(work, scales, k: int) -> RationalFunction:
-    """det(work) / prod(scales), canonicalized, for n packed rows of width k."""
+def _eliminated(work, k: int) -> list[int]:
+    """det(work) for n packed rows of width k, unpacked; [0] when singular."""
     det, swaps = _bareiss(work, len(work), jordan=False)
     if det is None:
-        return RationalFunction(0)
-    scale = reduce(_int_mul, scales, [(-1) ** swaps])
-    return RationalFunction(_canon(_unpack(det, k), 1), _canon(scale, 1))
+        return [0]
+    return _unpack(-det if swaps & 1 else det, k)
+
+
+def _determinant(work, scales, k: int) -> RationalFunction:
+    """det(work) / prod(scales), canonicalized, for n packed rows of width k."""
+    N = _eliminated(work, k)
+    if not N[-1]:
+        return _ZERO_ENTRY
+    return RationalFunction(_canon(N, 1), _canon(reduce(_int_mul, scales), 1))
 
 
 def _over_determinant(nums: list[list[int]], d: list[int]) -> list[RationalFunction]:
@@ -453,14 +460,13 @@ def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
                for i, (P, l) in enumerate(rows) for j, (Q, m) in enumerate(cols))
 
 
-def loop_determinant(D: TransferMatrix, X: TransferMatrix) -> RationalFunction:
-    """det(I - D X), exact, without forming D X.
+def _loop_rows(D: TransferMatrix, X: TransferMatrix):
+    """The rows of (I - D X) l_i m, packed, with the scales l_i and m and their width.
 
     With the rows of D cleared to (P_i, l_i) and X = Q / m over one
     denominator, row i of (I - D X) l_i m is delta_ij l_i m - P_i . Q_j,
     of l1 norm at most |l_i| |m| + sum_k |P_ik| |Q_k| (|Q_k| that of row k
-    of Q). Those rows are formed packed and eliminated once:
-    det(I - D X) = det / (prod(l_i) m^n), canonicalized once.
+    of Q), so det(I - D X) = det(rows) / (prod(l_i) m^n).
     """
     n = D.rows
     if D.cols != X.rows or X.cols != n:
@@ -477,7 +483,21 @@ def loop_determinant(D: TransferMatrix, X: TransferMatrix) -> RationalFunction:
         P = [_pack(p, k) for p in P]
         work.append([(_pack(l, k) * mk if i == j else 0) - sum(map(mul, P, col))
                      for j, col in enumerate(cols)])
-    return _determinant(work, [l for _, l in rows] + [m] * n, k)
+    return work, [l for _, l in rows] + [m] * n, k
+
+
+def loop_determinant(D: TransferMatrix, X: TransferMatrix) -> RationalFunction:
+    """det(I - D X), exact, without forming D X: the rows of (I - D X) l_i m
+    are formed packed and eliminated once, and the ratio is canonicalized once."""
+    return _determinant(*_loop_rows(D, X))
+
+
+def _loop_numerator(D: TransferMatrix, X: TransferMatrix) -> tuple[list[int], int]:
+    """(N, s) with det(I - D X) = N / scale, uncancelled: N the eliminated
+    integer polynomial ([0] when singular) and s the degree of the scale
+    prod(l_i) m^n, a product of denominators of D and X."""
+    work, scales, k = _loop_rows(D, X)
+    return _eliminated(work, k), sum(len(l) - 1 for l in scales)
 
 
 def hstack(blocks: list[TransferMatrix]) -> TransferMatrix:

@@ -12,15 +12,18 @@ when a caller asks for ``coeffs`` or ``leading``. ``poly_gcd`` reduces a
 polynomial gcd to one integer gcd (the certified heuristic gcd of Char,
 Geddes & Gonnet), keeping the primitive pseudo-remainder sequence as the
 fallback, and ``exquo`` divides by the gcd it returns without a remainder.
-Floating point enters only through ``float_coeffs_desc`` and numeric
-evaluation, the bridge to the numeric analysis layer (root finding,
-frequency sweeps).
+``_int_zeros_outside`` counts the zeros of an integer polynomial outside
+the unit circle exactly (the integer Bistritz recursion), which decides a
+Monte-Carlo sample without root finding. Floating point enters only
+through ``float_coeffs_desc`` and numeric evaluation, the bridge to the
+numeric analysis layer (root finding, frequency sweeps).
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 
@@ -423,6 +426,45 @@ def _int_prs_gcd(a: list[int], b: list[int]) -> list[int]:
     while len(b) > 1:
         a, b = b, _int_primitive(_int_prem(a, b))
     return a if not b[0] else [1]
+
+
+def _int_zeros_outside(a: list[int]) -> int | None:
+    """How many zeros of the nonzero integer polynomial a lie strictly outside
+    the unit circle, or None in a singular case.
+
+    Integer Bistritz test (Bistritz 1984). Zeros at z = 0 lie inside and are
+    stripped; D, of degree n, is what remains, and D#(z) = z^n D(1/z). With
+    T_n = D + D#, T_{n-1} = (D - D#) / (z - 1) and, for k = n-1, ..., 1,
+    z T_{k-1} = sgn(T_k(0)) T_{k+1}(0) (1 + z) T_k - |T_k(0)| T_{k+1},
+    every T_k is symmetric with k + 1 coefficients, and the number of zeros
+    outside is the number of sign changes in T_n(1), ..., T_0(1) (Bistritz's
+    normal case). Scaling T_k by c > 0
+    scales the later T by positive factors only, so each T is made
+    primitive and every sign is kept. A zero T_k(0), 0 < k < n, or T_k(1)
+    is singular and returns None; that covers every zero on the circle and
+    every reciprocal pair of zeros, so a count of 0 proves every zero of a
+    strictly inside.
+    """
+    a = a[next(i for i, c in enumerate(a) if c):]
+    n = len(a) - 1
+    if not n:
+        return 0
+    hi = _int_primitive([x + y for x, y in zip(a, reversed(a))])
+    # (D - D#) / (z - 1): the quotient's z^i coefficient is -(d_0 + ... + d_i).
+    lo = _int_primitive([-c for c in accumulate(x - y for x, y in zip(a[:-1], reversed(a)))])
+    values = [sum(hi), sum(lo)]
+    for k in range(n - 1, 0, -1):  # hi, lo = T_{k+1}, T_k
+        c0, p0 = lo[0], hi[0]
+        if not c0:
+            return None
+        f, g = (p0, c0) if c0 > 0 else (-p0, -c0)
+        # Coefficients 1..k of f (1 + z) T_k - g T_{k+1}; the two outer ones are 0.
+        hi, lo = lo, _int_primitive([f * (x + y) - g * p for x, y, p in zip(lo, lo[1:], hi[1:])])
+        values.append(sum(lo))
+    # A zero T_k has T_k(1) = 0 too.
+    if not all(values):
+        return None
+    return sum((u < 0) != (v < 0) for u, v in zip(values, values[1:]))
 
 
 def exquo(a: Polynomial, g: Polynomial) -> Polynomial:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import StabilityVerdict, require_stable, stability_verdict
+from .analysis import STABLE, StabilityVerdict, require_stable, stability_verdict
 from .errors import (
     DimensionMismatch,
     IdentityCheckFailed,
@@ -29,11 +29,11 @@ from .errors import (
 from .matrix import (
     StateSpace,
     TransferMatrix,
+    _loop_numerator,
     block_matrix,
-    loop_determinant,
     product_is_identity,
 )
-from .poly import Polynomial
+from .poly import Polynomial, _int_zeros_outside
 from .ratfun import RationalFunction
 
 
@@ -308,17 +308,25 @@ def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
     poles of Delta X; so Psi is stable iff deg n == deg d and every zero of
     n lies strictly inside the unit circle (the generalized Nyquist /
     small-gain argument: MacFarlane & Postlethwaite 1977; Zhou, Doyle &
-    Glover 1996, ch. 5 and 9). When 1/det is stable this returns stable
-    without forming Psi; every other sample forms Psi once and returns
-    robust_loop's verdict, status and witnesses alike. X must be stable and
-    proper, as the block of a stable S is; Delta is checked once, as in
-    robust_loop, and a zero determinant raises the same
+    Glover 1996, ch. 5 and 9).
+
+    The determinant is read uncancelled, as N / scale from the packed
+    elimination, with scale = prod(l_i) m^n built from denominators of
+    Delta and X. Every zero of the scale is a pole of Delta or of X, so it
+    lies strictly inside the circle, and cancelling a common factor takes
+    the same degree from N and the scale. So deg N == deg scale exactly
+    when deg n == deg d, and N has every zero strictly inside exactly when
+    n has. When both hold, the second by an exact integer zero count
+    (poly._int_zeros_outside returns 0), this returns stable without
+    forming Psi. Every other sample, a singular count included, forms Psi
+    once and returns robust_loop's verdict, status and witnesses alike. X
+    must be stable and proper, as the block of a stable S is; Delta is
+    checked once, as in robust_loop, and a zero determinant raises the same
     SingularPerturbedLoop.
 
-    The zeros of n and the poles of Psi are rooted in floating point from
-    different polynomials, so the two routes could part only when such a
-    root lies within rounding of the 1 - 1e-9 boundary. Once the verdicts
-    are exact, they agree by the theorem.
+    Psi's own verdict still roots its poles in floating point, so the two
+    routes can part only when such a pole lies within rounding of the
+    1 - 1e-9 boundary; there the count is the exact one.
     """
     require_stable(delta, what)
     return _robust_verdict(X, delta, name)
@@ -326,12 +334,11 @@ def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
 
 def _robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str) -> StabilityVerdict:
     """robust_verdict for a Delta already known to be stable."""
-    det = loop_determinant(delta, X)
-    if det.is_zero:
+    N, scale_degree = _loop_numerator(delta, X)
+    if not N[-1]:
         raise SingularPerturbedLoop(f"{name} is singular")
-    zeros = stability_verdict(det.inverse())
-    if zeros.is_stable:
-        return zeros
+    if len(N) - 1 == scale_degree and _int_zeros_outside(N) == 0:
+        return StabilityVerdict(STABLE)
     return stability_verdict(perturbed_loop(delta * X, name))
 
 

@@ -81,6 +81,22 @@ def test_verdict_improper():
     assert v.witnesses == ((0, 0),)
 
 
+def test_verdict_repeats_the_witnesses_of_a_shared_denominator():
+    # Three entries over (z - 2)(z + 3), one over z + 2, two over (z - 1)(z - 1/2).
+    d = (Z - 2) * (Z + 3)
+    e = (Z - 1) * (Z - HALF)
+    X = TransferMatrix(2, 3, [rf(1, d), rf(Z, d), rf(1, Z + 2),
+                              rf(7, d), rf(1, e), rf(Z, e)])
+    v = stability_verdict(X)
+    assert v.status == "unstable"
+    assert [round(p.real, 9) for p, _ in v.witnesses] == [-3, -3, -3, -2, 2, 2, 2, 1, 1]
+    assert all(p.imag == 0 and m == abs(p) for p, m in v.witnesses)
+    # The entrywise pole list, filtered and sorted, gives the same tuple.
+    want = sorted(((p, abs(p)) for p in matrix_poles(X) if abs(p) >= 1 - 1e-9),
+                  key=lambda w: (-w[1], w[0].real, w[0].imag))
+    assert v.witnesses == tuple(want)
+
+
 def test_hinf_peak_at_dc():
     assert abs(hinf_norm(TransferMatrix(1, 1, [rf(Z, 2 * Z - 1)])) - 1.0) < 1e-6
 

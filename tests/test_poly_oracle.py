@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from realstab import poly  # noqa: E402
@@ -190,3 +190,85 @@ def test_coeffs_view_round_trips(cs):
     assert p.coeffs == (tuple(trimmed) or (Fraction(0),))
     assert Polynomial(p.coeffs) == p
     assert hash(Polynomial(p.coeffs)) == hash(p)
+
+
+# -- the integer zero count ---------------------------------------------------
+
+# Coefficients of one size per draw (1 to 200 bits), so mpmath converges
+# quickly; random polynomials keep many zeros near the circle. Leading zeros
+# put zeros at z = 0.
+same_size_coeffs = st.integers(1, 200).flatmap(
+    lambda b: st.lists(st.integers(-2 ** b, 2 ** b), min_size=2, max_size=13))
+zero_count_polys = st.tuples(st.integers(0, 2), same_size_coeffs).map(
+    lambda t: [0] * t[0] + t[1]).filter(lambda a: a[-1])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(zero_count_polys)
+def test_zeros_outside_match_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
+    count = poly._int_zeros_outside(a)
+    if count is None:
+        return
+    # Zeros at z = 0, which polyroots converges to slowly, are inside.
+    nonzero = a[next(i for i, c in enumerate(a) if c):]
+    with mpmath.workdps(50):
+        moduli = [abs(r) for r in mpmath.polyroots(nonzero[::-1], maxsteps=100, extraprec=250)]
+        # Near-reciprocal draws can put zeros within 1e-47 of the circle; 50
+        # digits decide a modulus only beyond about 1e-40 from it.
+        assume(all(abs(m - 1) > mpmath.mpf(10) ** -40 for m in moduli))
+        assert count == sum(m > 1 for m in moduli)
+
+
+# q z - p, often with |p| within 3 of q (a zero within 3 / q of the circle),
+# and q z^2 + s z + r with s^2 < 4 q r, a complex pair of modulus sqrt(r / q).
+linear_factors = st.integers(1, 2 ** 60).flatmap(
+    lambda q: st.tuples(st.integers(-2 ** 60, 2 ** 60) | st.integers(q - 3, q + 3)
+                        | st.integers(-q - 3, -q + 3), st.just(q)))
+quadratic_factors = st.tuples(st.integers(1, 2 ** 40), st.integers(-2 ** 40, 2 ** 40),
+                              st.integers(1, 2 ** 40)).filter(lambda t: t[1] ** 2 < 4 * t[0] * t[2])
+
+
+@SETTINGS
+@given(st.lists(linear_factors, max_size=6), st.lists(quadratic_factors, max_size=3))
+def test_zeros_outside_of_factored_polynomials(linear, quadratic):
+    a = [1]
+    for p, q in linear:
+        a = poly._int_mul(a, [-p, q])
+    for q, s, r in quadratic:
+        a = poly._int_mul(a, [r, s, q])
+    count = poly._int_zeros_outside(a)
+    if any(abs(p) == q for p, q in linear) or any(r == q for q, _, r in quadratic):
+        assert count is None  # a zero on the circle
+    elif count is not None:  # else a reciprocal pair
+        outside = sum(abs(p) > q for p, q in linear) + sum(2 for q, _, r in quadratic if r > q)
+        assert count == outside
+
+
+def _power(p, k):
+    out = [1]
+    for _ in range(k):
+        out = poly._int_mul(out, p)
+    return out
+
+
+@pytest.mark.parametrize("a, count", [
+    # A cluster of six (or ten) zeros at 0.999 that float root finding splits.
+    (_power([-999, 1000], 6), 0),
+    (_power([-999, 1000], 10), 0),
+    (_power([-1001, 1000], 6), 6),
+    # Zeros at z = 0 lie inside.
+    ([0, 0, -1, 2], 0),
+    ([0, -3, 1], 1),
+    ([5], 0),
+    # T_n(0) = 0 with a zero inside and one outside: not singular.
+    ([-2, 1, 2], 1),
+    # Singular: a zero on the circle (z = 1, z = +-i, z = -1) or a reciprocal pair.
+    (poly._int_mul([-1, 1], [-1, 2]), None),
+    (poly._int_mul([-2, 1], [-1, 2]), None),
+    (poly._int_mul([1, 0, 1], [-1, 2]), None),
+    ([1, 1], None),
+])
+def test_zeros_outside_pinned(a, count):
+    assert poly._int_zeros_outside(a) == count
+    assert poly._int_zeros_outside([-c for c in a]) == count

@@ -394,6 +394,23 @@ def test_robust_verdict_forms_no_psi_when_the_determinant_is_stable(monkeypatch)
     assert robust_verdict(_X, _QUARTER, "I - Delta*X", "Delta").is_stable
 
 
+def test_robust_verdict_decides_clustered_determinant_zeros_exactly(monkeypatch):
+    # With X = 1 - (z - 999/1000)^k / z^k and Delta = 1, det(I - Delta X) is
+    # (z - 999/1000)^k / z^k: k zeros at 0.999, which float root finding
+    # splits across the circle. Psi = z^k / (z - 999/1000)^k is stable.
+    def no_inverse(self):
+        raise AssertionError("formed Psi for a sample the determinant proves stable")
+
+    monkeypatch.setattr(TransferMatrix, "inverse", no_inverse)
+    eye = TransferMatrix.identity(1)
+    for k in (6, 10):
+        zk, cluster = Z, Z - Fraction(999, 1000)
+        for _ in range(k - 1):
+            zk, cluster = zk * Z, cluster * (Z - Fraction(999, 1000))
+        X = TransferMatrix(1, 1, [rf(zk - cluster, zk)])
+        assert robust_verdict(X, eye, "I - Delta*X", "Delta").is_stable
+
+
 def test_robust_verdict_errors_match_robust_loop():
     eye = TransferMatrix.identity(1)
     with pytest.raises(NotStable, match="^Delta is unstable$"):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from realstab import uncertainty
+from realstab import realization, uncertainty
 from realstab.analysis import StabilityVerdict, hinf_norm, hinf_peak, stability_verdict
 from realstab.errors import (
     DimensionMismatch,
@@ -18,7 +18,7 @@ from realstab.errors import (
 )
 from realstab.iop import iop_from_loop, iop_margin, iop_robust_check
 from realstab.matrix import StateSpace, TransferMatrix
-from realstab.realization import build_plant_controller, raw_realization
+from realstab.realization import build_plant_controller, raw_realization, robust_loop
 from realstab.sls import sls_of_from_controller, sls_of_margin, sls_of_robust_check
 from realstab.youla import deadbeat_observer_gain, deadbeat_state_gain, observer_controller
 from realstab.uncertainty import (
@@ -259,6 +259,25 @@ def test_sampler_matches_named_checkers(condition, mask, radius_share, order, se
 @pytest.mark.parametrize("radius_share, seed", [(0.99, 0), (8.0, 7)])
 def test_sampler_matches_named_checkers_on_observer_plants(A, radius_share, seed):
     _assert_sampler_matches(observer_of_maps(A), "cor7", FULL, radius_share, 1, seed, 30)
+
+
+@pytest.mark.parametrize("condition", ["cor7", "cor3"])
+@pytest.mark.parametrize("share", [0.5, 1.0, 3.0])
+def test_check_matches_robust_loop_on_seeded_draws(condition, share):
+    nominal = scalar_of_maps() if condition == "cor7" else scalar_quad()
+    rows, cols, X = robust_condition(nominal, condition)
+    margin = sls_of_margin(nominal) if condition == "cor7" else iop_margin(nominal)
+    mask = FULL if condition == "cor7" else {("y", "u")}
+    statuses = set()
+    for seed in range(30):
+        spec = UncertaintySpec(block_mask=mask, radius=share * margin,
+                               sample_order=1 + seed % 3, seed=seed)
+        delta = sample_delta(spec, (rows, cols))
+        verdict = realization._robust_verdict(X, delta, "I - Delta*X")
+        assert verdict == robust_loop(X, delta, "I - Delta*X", "Delta")[1]
+        statuses.add(verdict.status)
+    # Above the margin some draws take the Psi route.
+    assert statuses == ({"stable"} if share <= 1 else {"stable", "unstable"})
 
 
 def test_soundness_cor3_below_margin():
