@@ -29,6 +29,7 @@ from .realization import (
     build_plant_controller,
     build_sf_sls,
     build_state_feedback,
+    raw_realization,
 )
 from .sls import SlsOutputFeedback, sls_of_from_blocks
 from .uncertainty import Certificate, SampleStats
@@ -123,8 +124,8 @@ def parse_tm(obj, require_blocks: bool = False) -> TransferMatrix:
         raise SchemaError("'entries' must be a non-empty list of rows")
     rows = len(grid)
     cols = len(grid[0])
-    if any(len(r) != cols for r in grid):
-        raise SchemaError("'entries' rows are ragged")
+    if not cols or any(len(r) != cols for r in grid):
+        raise SchemaError("'entries' rows are empty or ragged")
     for key, count in (("rows", rows), ("cols", cols)):
         if key in obj and _count(obj[key], repr(key)) != count:
             raise SchemaError(f"{key!r} does not match the entry grid")
@@ -283,7 +284,7 @@ def build_realization(doc: SystemDocument) -> RealizationSystem:
         return build_sf_sls(doc.state_space, doc.phi_x, doc.phi_u)
     if doc.kind == "output-feedback":
         return build_output_feedback(doc.state_space, doc.controller)
-    return RealizationSystem(doc.realization_matrix)
+    return raw_realization(doc.realization_matrix)
 
 
 def doc_plant(doc: SystemDocument) -> TransferMatrix:

@@ -6,9 +6,14 @@ external disturbance to the internal state, eta = S d, and when both exist
 they satisfy (I - R) S = S (I - R) = I. Additive perturbations of R induce
 a feedback path around S: S(Delta) = S (I - Delta S)^-1 = (I - S Delta)^-1 S.
 
+A RealizationSystem holds the loop matrix I - R, which the builders write
+directly; a user's R enters through raw_realization, and R itself is
+formed only on request.
+
 Properness of R is a block-level notion: blocks coupling distinct signals
 must be proper, while diagonal blocks may be improper (state dynamics
-contribute zI - A terms on the diagonal).
+contribute zI - A terms on the diagonal). Off the diagonal, the blocks of
+I - R are those of -R, so the check runs on I - R.
 """
 
 from __future__ import annotations
@@ -37,50 +42,51 @@ from .poly import Polynomial, _int_zeros_outside
 from .ratfun import RationalFunction
 
 
-def _offdiagonal_improper_blocks(R: TransferMatrix) -> list[tuple[str, str]]:
-    bad = []
-    for ra, _ in R.row_blocks:
-        for cb, _ in R.col_blocks:
-            if ra == cb:
-                continue
-            if not R.block(ra, cb).is_proper():
-                bad.append((ra, cb))
-    return bad
+def _blocks_holding(M: TransferMatrix, test) -> list[tuple[str, str]]:
+    """The blocks (row label, col label) holding an entry that passes test, in partition order."""
+    rows = [a for a, size in M.row_blocks for _ in range(size)]
+    cols = [b for b, size in M.col_blocks for _ in range(size)]
+    labels = ((a, b) for a in rows for b in cols)
+    hit = {ab for ab, e in zip(labels, M.entries) if test(e)}
+    return [(a, b) for a, _ in M.row_blocks for b, _ in M.col_blocks if (a, b) in hit]
 
 
-@dataclass(frozen=True)
+def _offdiagonal_improper_blocks(M: TransferMatrix) -> list[tuple[str, str]]:
+    return [(a, b) for a, b in _blocks_holding(M, lambda e: not e.is_proper) if a != b]
+
+
+@dataclass(frozen=True, kw_only=True)
 class RealizationSystem:
-    """A square, block-partitioned realization matrix with named signals."""
+    """A square, block-partitioned realization, held as its loop matrix I - R."""
 
-    R: TransferMatrix
-    _loop: TransferMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    loop: TransferMatrix
 
     def __post_init__(self):
-        R = self.R
-        if not R.is_square:
-            raise DimensionMismatch("realization matrix must be square")
-        if R.row_blocks is None or R.col_blocks is None:
+        loop = self.loop
+        if loop.row_blocks is None or loop.col_blocks is None:
             raise DimensionMismatch("realization matrix needs a signal partition")
-        if R.row_blocks != R.col_blocks:
+        if loop.row_blocks != loop.col_blocks:
             raise DimensionMismatch("row and column partitions must agree")
-        bad = _offdiagonal_improper_blocks(R)
+        bad = _offdiagonal_improper_blocks(loop)
         if bad:
             raise ImproperBlock(f"improper off-diagonal blocks: {bad}")
 
     @property
     def signals(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.R.row_blocks)
+        return tuple(label for label, _ in self.loop.row_blocks)
 
     @property
     def partition(self):
-        return self.R.row_blocks
+        return self.loop.row_blocks
+
+    @property
+    def R(self) -> TransferMatrix:
+        """The realization matrix I - loop, formed anew on each access."""
+        return TransferMatrix.identity(self.loop.rows, self.partition, self.partition) - self.loop
 
     def loop_matrix(self) -> TransferMatrix:
-        """I - R, the matrix whose inverse is the stability matrix; formed once."""
-        if self._loop is None:
-            eye = TransferMatrix.identity(self.R.rows, self.R.row_blocks, self.R.col_blocks)
-            object.__setattr__(self, "_loop", eye - self.R)
-        return self._loop
+        """I - R, the matrix whose inverse is the stability matrix."""
+        return self.loop
 
 
 @dataclass(frozen=True)
@@ -126,12 +132,9 @@ class AdditivePerturbation:
             raise DimensionMismatch("perturbation needs the host signal partition")
         object.__setattr__(self, "block_mask", normalize_mask(self.block_mask))
         check_mask_labels(self.block_mask, d.row_blocks, d.col_blocks)
-        for ra, _ in d.row_blocks:
-            for cb, _ in d.col_blocks:
-                if (ra, cb) in self.block_mask:
-                    continue
-                if not d.block(ra, cb).is_zero():
-                    raise MaskViolation(f"nonzero entries in unmasked block ({ra}, {cb})")
+        for ra, cb in _blocks_holding(d, lambda e: not e.is_zero):
+            if (ra, cb) not in self.block_mask:
+                raise MaskViolation(f"nonzero entries in unmasked block ({ra}, {cb})")
 
 
 def _delta_matrix(delta, host: TransferMatrix) -> TransferMatrix:
@@ -149,16 +152,8 @@ def _delta_matrix(delta, host: TransferMatrix) -> TransferMatrix:
 # -- builders for the four supported loop families --------------------------
 
 
-def _from_loop_matrix(loop: TransferMatrix) -> RealizationSystem:
-    """The system whose I - R is loop, which it keeps as its loop matrix."""
-    eye = TransferMatrix.identity(loop.rows, loop.row_blocks, loop.col_blocks)
-    system = RealizationSystem(eye - loop)
-    object.__setattr__(system, "_loop", loop)
-    return system
-
-
 def build_plant_controller(G: TransferMatrix, K: TransferMatrix) -> RealizationSystem:
-    """Two-signal loop y = G u + d_y, u = K y + d_u, so R = [[0, G], [K, 0]]."""
+    """Two-signal loop y = G u + d_y, u = K y + d_u, so I - R = [[I, -G], [-K, I]]."""
     if G.rows != K.cols or G.cols != K.rows:
         raise DimensionMismatch(
             f"plant {G.shape} and controller {K.shape} do not close a loop")
@@ -168,11 +163,10 @@ def build_plant_controller(G: TransferMatrix, K: TransferMatrix) -> RealizationS
         raise ImproperBlock("controller is improper")
     p, m = G.shape
     blocks = (("y", p), ("u", m))
-    R = block_matrix(
-        [[TransferMatrix.zeros(p, p), G],
-         [K, TransferMatrix.zeros(m, m)]],
-        blocks, blocks)
-    return RealizationSystem(R)
+    return RealizationSystem(loop=block_matrix(
+        [[TransferMatrix.identity(p), -G],
+         [-K, TransferMatrix.identity(m)]],
+        blocks, blocks))
 
 
 def build_state_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSystem:
@@ -181,7 +175,7 @@ def build_state_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSystem
     if K.shape != (m, n):
         raise DimensionMismatch(f"gain map must be {m}x{n}, got {K.shape}")
     blocks = (("x", n), ("u", m))
-    return _from_loop_matrix(block_matrix(
+    return RealizationSystem(loop=block_matrix(
         [[ss.z_minus_a(), -ss.B],
          [-K, TransferMatrix.identity(m)]],
         blocks, blocks))
@@ -205,7 +199,7 @@ def build_sf_sls(ss: StateSpace, phi_x: TransferMatrix,
     if not (z_phi_x.is_proper() and z_phi_u.is_proper()):
         raise NotStrictlyProper("response maps must be strictly proper")
     blocks = (("x", n), ("u", m), ("delta", n))
-    return _from_loop_matrix(block_matrix(
+    return RealizationSystem(loop=block_matrix(
         [[ss.z_minus_a(), -ss.B, TransferMatrix.zeros(n, n)],
          [TransferMatrix.zeros(m, n), TransferMatrix.identity(m), -z_phi_u],
          [-TransferMatrix.identity(n), TransferMatrix.zeros(n, m), z_phi_x]],
@@ -218,7 +212,7 @@ def build_output_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSyste
     if K.shape != (m, p):
         raise DimensionMismatch(f"controller must be {m}x{p}, got {K.shape}")
     blocks = (("x", n), ("u", m), ("y", p))
-    return _from_loop_matrix(block_matrix(
+    return RealizationSystem(loop=block_matrix(
         [[ss.z_minus_a(), -ss.B, TransferMatrix.zeros(n, p)],
          [TransferMatrix.zeros(m, n), TransferMatrix.identity(m), -K],
          [-ss.C, -ss.D, TransferMatrix.identity(p)]],
@@ -226,8 +220,10 @@ def build_output_feedback(ss: StateSpace, K: TransferMatrix) -> RealizationSyste
 
 
 def raw_realization(R: TransferMatrix) -> RealizationSystem:
-    """Wrap a user-supplied partitioned realization matrix."""
-    return RealizationSystem(R)
+    """The system of a user's partitioned realization matrix R: the one entry for R."""
+    if not R.is_square:
+        raise DimensionMismatch("realization matrix must be square")
+    return RealizationSystem(loop=TransferMatrix.identity(R.rows, R.row_blocks, R.col_blocks) - R)
 
 
 # -- the identity, transformations, perturbed stability ---------------------
@@ -236,7 +232,7 @@ def raw_realization(R: TransferMatrix) -> RealizationSystem:
 def stability_matrix(sys: RealizationSystem) -> TransferMatrix:
     """S = (I - R)^-1; raises NoStabilityMatrix when I - R is singular."""
     try:
-        return sys.loop_matrix().inverse()
+        return sys.loop.inverse()
     except SingularMatrix as exc:
         raise NoStabilityMatrix("I - R is singular; no stability matrix exists") from exc
 
@@ -249,7 +245,7 @@ def verify_rs_identity(sys: RealizationSystem, S: TransferMatrix) -> bool:
     gives det(I - R) det S = 1, so I - R is invertible, S = (I - R)^-1 and
     S (I - R) = I as well.
     """
-    loop = sys.loop_matrix()
+    loop = sys.loop
     if loop.shape != S.shape:
         raise DimensionMismatch("stability matrix shape does not match the realization")
     return product_is_identity(loop, S)
@@ -264,10 +260,10 @@ def apply_transformation(sys: RealizationSystem, S: TransferMatrix,
     construction, which is re-checked exactly.
     """
     Tm = T.T
-    if Tm.rows != sys.R.rows:
+    if Tm.rows != sys.loop.rows:
         raise DimensionMismatch("transformation size does not match the realization")
     blocks = sys.partition
-    sys_eq = _from_loop_matrix((Tm.inverse() * sys.loop_matrix()).with_blocks(blocks, blocks))
+    sys_eq = RealizationSystem(loop=(Tm.inverse() * sys.loop).with_blocks(blocks, blocks))
     s_eq = S * Tm
     if not verify_rs_identity(sys_eq, s_eq):
         raise IdentityCheckFailed("transformed pair lost the realization identity")
@@ -367,9 +363,8 @@ def perturbed_stability(S_hat: TransferMatrix, delta,
 
 
 def check_offdiagonal_properness(sys: RealizationSystem, delta) -> bool:
-    """True iff every off-diagonal signal block of R + Delta is proper."""
-    D = _delta_matrix(delta, sys.R)
-    if D.shape != sys.R.shape:
+    """True iff every off-diagonal signal block of R + Delta, so of I - R - Delta, is proper."""
+    D = _delta_matrix(delta, sys.loop)
+    if D.shape != sys.loop.shape:
         raise DimensionMismatch("perturbation shape does not match the realization")
-    perturbed = (sys.R + D).with_blocks(sys.partition, sys.partition)
-    return not _offdiagonal_improper_blocks(perturbed)
+    return not _offdiagonal_improper_blocks(sys.loop - D)

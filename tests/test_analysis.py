@@ -97,6 +97,17 @@ def test_verdict_repeats_the_witnesses_of_a_shared_denominator():
     assert v.witnesses == tuple(want)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the verdict roots in floating point, which splits a cluster "
+                          "of poles at 0.999 across the unit circle")
+@pytest.mark.parametrize("k", [6, 10])
+def test_verdict_of_clustered_stable_poles(k):
+    den = Z - Fraction(999, 1000)
+    for _ in range(k - 1):
+        den = den * (Z - Fraction(999, 1000))
+    assert stability_verdict(TransferMatrix(1, 1, [rf(1, den)])).is_stable
+
+
 def test_hinf_peak_at_dc():
     assert abs(hinf_norm(TransferMatrix(1, 1, [rf(Z, 2 * Z - 1)])) - 1.0) < 1e-6
 
@@ -260,6 +271,18 @@ def test_hinf_peak_refines_sharp_resonance():
     near = np.linspace(omega - 1e-3, omega + 1e-3, 200001)
     ref = np.max(1.0 / np.abs(np.polyval(coeffs, np.exp(1j * near))))
     assert abs(value - ref) <= 1e-9 * ref
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the 4096-point grid misses a resonance narrower than its "
+                          "spacing, so the peak is only a lower bound")
+def test_hinf_peak_finds_resonance_between_grid_points():
+    # Poles at radius 1 - 1e-7, at an angle halfway between two grid points:
+    # |f| there is about 7201.86, while the grid sees about 10 at omega = 0.
+    r = 1 - Fraction(1, 10 ** 7)
+    c = Fraction(math.cos(1000.5 * math.pi / 4095))
+    f = rf(1, 1000 * (Z * Z - 2 * r * c * Z + r * r)) + rf(1, Z - Fraction(9, 10))
+    assert hinf_peak(TransferMatrix(1, 1, [f]))[0] >= 7201.8
 
 
 def _exhaustive_hinf_peak(X):

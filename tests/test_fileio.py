@@ -74,6 +74,8 @@ def test_tm_shape_validation():
         parse_tm({"rows": 2, "cols": 1, "entries": [["1"]]})
     with pytest.raises(SchemaError):
         parse_tm({"entries": []})
+    with pytest.raises(SchemaError):
+        parse_tm({"entries": [[]]})
 
 
 @pytest.mark.parametrize("entry", [{"num": "12", "den": "31"}, {"num": ["1"], "den": "31"},

@@ -146,10 +146,10 @@ def test_output_feedback_identity_measurement_duplicates_state():
 
 def test_stability_matrix_trivial_and_singular():
     blocks = (("s", 2),)
-    zero = RealizationSystem(TransferMatrix.zeros(2, 2, blocks, blocks))
+    zero = raw_realization(TransferMatrix.zeros(2, 2, blocks, blocks))
     assert stability_matrix(zero) == TransferMatrix.identity(2)
-    loop = RealizationSystem(TransferMatrix(2, 2, [rf(0), rf(1), rf(1), rf(0)],
-                                            blocks, blocks))
+    loop = raw_realization(TransferMatrix(2, 2, [rf(0), rf(1), rf(1), rf(0)],
+                                          blocks, blocks))
     with pytest.raises(NoStabilityMatrix):
         stability_matrix(loop)
 
@@ -215,7 +215,7 @@ def test_offdiagonal_properness_enforced_at_construction():
     blocks = (("a", 1), ("b", 1))
     bad = TransferMatrix(2, 2, [rf(0), rf(Z * Z, Z - 1), rf(0), rf(0)], blocks, blocks)
     with pytest.raises(ImproperBlock):
-        RealizationSystem(bad)
+        raw_realization(bad)
     # improper on the diagonal is allowed
     ok = TransferMatrix(2, 2, [rf(Z), rf(0), rf(0), rf(0)], blocks, blocks)
     assert raw_realization(ok).signals == ("a", "b")
@@ -333,19 +333,72 @@ def test_offdiagonal_check_exempts_diagonal():
     assert check_offdiagonal_properness(sys, zero)
 
 
-@pytest.mark.parametrize("build", [build_state_feedback, build_output_feedback])
+_SS = StateSpace([[HALF]], [[1]], [[1]], [[0]])
+_GAIN = TransferMatrix(1, 1, [rf(-HALF)])
+_BUILD_ARGS = {
+    build_plant_controller: (TransferMatrix(1, 1, [rf(1, Z)]), _GAIN),
+    build_state_feedback: (_SS, _GAIN),
+    build_sf_sls: (_SS, TransferMatrix(1, 1, [rf(1, Z)]), TransferMatrix(1, 1, [rf(-HALF, Z)])),
+    build_output_feedback: (_SS, _GAIN),
+}
+
+
+@pytest.mark.parametrize("build", list(_BUILD_ARGS))
 def test_builders_keep_their_loop_matrix(build):
-    ss = StateSpace([[HALF]], [[1]], [[1]], [[0]])
-    K = TransferMatrix(1, 1, [rf(-HALF)])
-    built = build(ss, K)
+    built = build(*_BUILD_ARGS[build])
     fresh = raw_realization(built.R)
     assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
     loop = built.loop_matrix()
-    assert loop is built.loop_matrix()
+    assert loop is built.loop_matrix() and loop is built.loop
     assert fresh.loop_matrix() is fresh.loop_matrix()
     assert loop == fresh.loop_matrix()
     assert (loop.row_blocks, loop.col_blocks) == (built.partition, built.partition)
     assert stability_matrix(built) == stability_matrix(fresh)
+
+
+@pytest.mark.parametrize("build", list(_BUILD_ARGS))
+def test_hot_path_never_forms_r(monkeypatch, build):
+    def no_r(self):
+        raise AssertionError("formed R on a path that needs only I - R")
+
+    monkeypatch.setattr(RealizationSystem, "R", property(no_r))
+    sys = build(*_BUILD_ARGS[build])
+    S = stability_matrix(sys)
+    assert verify_rs_identity(sys, S)
+    assert stability_verdict(S).is_stable
+    n = sys.loop.rows
+    twice = Transformation(TransferMatrix.identity(n).scale(2))
+    sys_eq, S_eq = apply_transformation(sys, S, twice)
+    assert S_eq == S.scale(2) and sys_eq.loop == sys.loop.scale(HALF)
+    assert check_offdiagonal_properness(sys, TransferMatrix.zeros(n, n))
+
+
+def test_constructor_takes_only_the_loop_matrix():
+    blocks = (("a", 1), ("b", 1))
+    R = TransferMatrix(2, 2, [rf(0), rf(1, Z), rf(HALF), rf(0)], blocks, blocks)
+    with pytest.raises(TypeError):
+        RealizationSystem(R)
+    sys = raw_realization(R)
+    assert sys == RealizationSystem(loop=TransferMatrix.identity(2, blocks, blocks) - R)
+    assert sys.R == R and sys.R is not sys.R
+
+
+def test_raw_realization_keeps_its_errors():
+    blocks = (("a", 1), ("b", 1))
+    with pytest.raises(DimensionMismatch, match="^realization matrix must be square$"):
+        raw_realization(TransferMatrix.zeros(2, 1, blocks, (("a", 1),)))
+    with pytest.raises(DimensionMismatch, match="^realization matrix needs a signal partition$"):
+        raw_realization(TransferMatrix.zeros(2, 2))
+    with pytest.raises(DimensionMismatch, match="^row and column partitions must agree$"):
+        raw_realization(TransferMatrix.zeros(2, 2, blocks, (("b", 1), ("a", 1))))
+    # Blocks are reported in partition order, not in the order their entries come.
+    three = (("a", 2), ("b", 1), ("c", 1))
+    entries = [rf(0)] * 16
+    entries[3], entries[6] = rf(Z), rf(Z * Z)  # blocks (a, c) at row 0, (a, b) at row 1
+    improper = TransferMatrix(4, 4, entries, three, three)
+    with pytest.raises(ImproperBlock, match=r"^improper off-diagonal blocks: "
+                                            r"\[\('a', 'b'\), \('a', 'c'\)\]$"):
+        raw_realization(improper)
 
 
 def test_robust_loop_closes_delta_around_x():
