@@ -25,7 +25,10 @@ largest bound; a dropped point lies below that value, which the maximum
 is at least, so the pruned grid returns the full grid's first maximum and
 its frequency exactly. The grid value is a lower bound that refinement
 only increases; relative accuracy 1e-6 is the documented target, not a
-guarantee for pathological peaks.
+guarantee for pathological peaks. (A Monte-Carlo draw's norm is an upper
+bound instead: uncertainty._DrawGram proves it with an exact level-set
+test, and this grid runs for a draw only when the first bound tried, just
+above the larger gain at omega = 0 or pi, fails.)
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ UNSTABLE = "unstable"
 IMPROPER = "improper"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityVerdict:
     """Outcome of a membership test in the stable proper class.
 

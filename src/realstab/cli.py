@@ -127,7 +127,7 @@ def cmd_perturb(args) -> int:
     system = build_realization(doc)
     pert = load_perturbation(args.delta)
     S_hat = stability_matrix(system)
-    S_delta = perturbed_stability(S_hat, pert, nominal_realization=system.R)
+    S_delta = perturbed_stability(S_hat, pert, nominal_loop=system.loop)
     verdict = stability_verdict(S_delta)
     cert = Certificate(kind="pointwise", margin=None, verdict=verdict,
                        condition_ref="lemma2-direct")

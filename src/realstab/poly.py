@@ -467,6 +467,67 @@ def _int_zeros_outside(a: list[int]) -> int | None:
     return sum((u < 0) != (v < 0) for u, v in zip(values, values[1:]))
 
 
+def _int_at_unit(a: list[int], t: int) -> int:
+    """a(t) for t = 1 or -1."""
+    return sum(a[0::2]) + t * sum(a[1::2])
+
+
+def _int_zeros_in_unit_interval(a: list[int]) -> int:
+    """How many distinct real zeros of the nonzero stripped integer polynomial
+    a lie in the closed interval [-1, 1].
+
+    A zero at 1 or -1 is counted once and divided out with its multiplicity,
+    so what remains is nonzero at both ends. Degree 1 then has a zero
+    inside exactly when the end signs differ. Degree 2 with equal end signs
+    has zeros inside only when it curves away from that sign (leading
+    coefficient of the same sign) with its vertex inside, |a_1| < 2 |a_2|,
+    and then as many distinct ones as the discriminant says. Higher degrees
+    take the Sturm sequence p, p', ..., each term the negated remainder of
+    the two before, found as the pseudo-remainder by a divisor with positive
+    leading coefficient (a positive multiple of the remainder) and made
+    primitive; the distinct zeros in (-1, 1) number V(-1) - V(1), the sign
+    variations at the ends (Sturm 1829; a repeated zero leaves the gcd at
+    the end of the sequence, which changes no variation where p is nonzero).
+    """
+    count = 0
+    for t in (1, -1):
+        if not _int_at_unit(a, t):
+            count += 1
+            while not _int_at_unit(a, t):  # divide by x - t (synthetic division)
+                q, acc = [0] * (len(a) - 1), 0
+                for i in range(len(a) - 1, 0, -1):
+                    acc = a[i] + t * acc
+                    q[i - 1] = acc
+                a = q
+    n = len(a) - 1
+    lo, hi = _int_at_unit(a, -1), _int_at_unit(a, 1)
+    if n == 0:
+        return count
+    if (lo < 0) != (hi < 0) and n <= 2:
+        return count + 1
+    if n == 1:
+        return count
+    if n == 2:
+        c, b, lead = a
+        if (lead < 0) != (hi < 0) or abs(b) >= 2 * abs(lead):
+            return count
+        disc = b * b - 4 * lead * c
+        return count + (disc > 0) + (disc >= 0)
+    seq = [a, _int_primitive([i * c for i, c in enumerate(a)][1:])]
+    while len(seq[-1]) > 1:
+        div = seq[-1] if seq[-1][-1] > 0 else [-c for c in seq[-1]]
+        r = _int_prem(seq[-2], div)
+        if not r[-1]:
+            break
+        seq.append(_int_primitive([-c for c in r]))
+
+    def variations(t: int) -> int:
+        signs = [v < 0 for v in (_int_at_unit(s, t) for s in seq) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return count + variations(-1) - variations(1)
+
+
 def exquo(a: Polynomial, g: Polynomial) -> Polynomial:
     """a / g for a poly_gcd result g that divides a.
 

@@ -103,7 +103,11 @@ class Transformation:
 
 
 def normalize_mask(pairs) -> frozenset:
-    """A block mask as a frozenset of (row label, col label) string pairs."""
+    """A block mask as a frozenset of (row label, col label) string pairs;
+    such a frozenset is returned as it is."""
+    if isinstance(pairs, frozenset) and all(
+            type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is str for p in pairs):
+        return pairs
     return frozenset((str(a), str(b)) for a, b in pairs)
 
 
@@ -270,16 +274,22 @@ def apply_transformation(sys: RealizationSystem, S: TransferMatrix,
     return sys_eq, s_eq
 
 
+def _closed(loop: TransferMatrix, name: str) -> TransferMatrix:
+    """loop^-1, or SingularPerturbedLoop(f"{name} is singular") when loop is
+    singular as a rational matrix."""
+    try:
+        return loop.inverse()
+    except SingularMatrix as exc:
+        raise SingularPerturbedLoop(f"{name} is singular") from exc
+
+
 def perturbed_loop(M: TransferMatrix, name: str) -> TransferMatrix:
     """(I - M)^-1, the loop closed around M.
 
     Raises SingularPerturbedLoop(f"{name} is singular") when I - M is
     singular as a rational matrix.
     """
-    try:
-        return (TransferMatrix.identity(M.rows) - M).inverse()
-    except SingularMatrix as exc:
-        raise SingularPerturbedLoop(f"{name} is singular") from exc
+    return _closed(TransferMatrix.identity(M.rows) - M, name)
 
 
 def robust_loop(X: TransferMatrix, delta: TransferMatrix, name: str,
@@ -339,13 +349,13 @@ def _robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str) -> Stab
 
 
 def perturbed_stability(S_hat: TransferMatrix, delta,
-                        nominal_realization: TransferMatrix | None = None) -> TransferMatrix:
+                        nominal_loop: TransferMatrix | None = None) -> TransferMatrix:
     """Stability matrix after an additive perturbation of the realization.
 
     Computes both closed forms, S_hat (I - Delta S_hat)^-1 and
     (I - S_hat Delta)^-1 S_hat, checks they agree exactly, and optionally
     cross-checks against the direct inverse (I - R_hat - Delta)^-1 when the
-    nominal realization matrix is supplied.
+    nominal loop matrix I - R_hat is supplied.
     """
     D = _delta_matrix(delta, S_hat)
     if not S_hat.is_square or D.shape != S_hat.shape:
@@ -355,8 +365,8 @@ def perturbed_stability(S_hat: TransferMatrix, delta,
     left = perturbed_loop(S_hat * D, "I - S*Delta") * S_hat
     if right != left:
         raise IdentityCheckFailed("the two perturbed-stability closed forms disagree")
-    if nominal_realization is not None:
-        direct = perturbed_loop(nominal_realization + D, "I - R - Delta")
+    if nominal_loop is not None:
+        direct = _closed(nominal_loop - D, "I - R - Delta")
         if direct != right:
             raise IdentityCheckFailed("closed form disagrees with the direct inverse")
     return right.with_blocks(S_hat.row_blocks, S_hat.col_blocks)

@@ -6,13 +6,21 @@ response taps, so every sample stays inside exact rational arithmetic.
 Samples are deterministic functions of the seed, sample i of a run is
 drawn from seed + i, and sample 0 is always the zero perturbation (the
 certified conditions quantify over sets containing zero).
+
+A sample's norm is a certified upper bound on its peak gain, not a grid
+estimate: an exact integer level-set test (_DrawGram) proves a float g
+above the raw draw's peak, the draw is rescaled by fill * radius / g, and
+the norm is scale * g rounded up. A sample whose norm is below a margin
+therefore has a peak gain below it too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from operator import mul
 
 import numpy as np
 
@@ -36,7 +44,14 @@ from .errors import (
 )
 from .iop import IopQuadruple
 from .matrix import TransferMatrix, loop_determinant
-from .poly import _canon, _monomial
+from .poly import (
+    _canon,
+    _int_at_unit,
+    _int_mul,
+    _int_strip,
+    _int_zeros_in_unit_interval,
+    _monomial,
+)
 from .ratfun import RationalFunction
 from .realization import (
     RealizationSystem,
@@ -52,9 +67,10 @@ CHECKERS = ("lemma2-direct", "cor3", "cor7", "cor9")
 
 _COEFF_GRID = 1 << 24  # dyadic quantization keeps exact arithmetic fast
 _SCALE_GRID = 1 << 40
+_BOUND_SLACK = 1 + 2.0 ** -40  # headroom of a tried peak bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertaintySpec:
     """Structured FIR norm ball: which blocks, how big, how long, which seed."""
 
@@ -71,7 +87,7 @@ class UncertaintySpec:
             raise ValueError("sample order must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleStats:
     n_samples: int
     n_stable: int
@@ -85,7 +101,7 @@ class SampleStats:
             raise ValueError("sample counts do not add up")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """Outcome record of a stability analysis or certification run."""
 
@@ -112,13 +128,181 @@ def _partition_of(shape):
     return tuple(row_blocks), tuple(col_blocks)
 
 
-def _fir_entry(rng, order: int) -> RationalFunction:
-    """Taps uniform on [-1, 1], rounded to the dyadic grid, over z^order."""
-    taps = [round(c * _COEFF_GRID) for c in rng.uniform(-1.0, 1.0, order + 1)]
+def _fir_taps(rng, order: int) -> list[int]:
+    """Taps uniform on [-1, 1] as integers on the dyadic grid; tap j multiplies z^-j."""
+    return [round(c * _COEFF_GRID) for c in rng.uniform(-1.0, 1.0, order + 1)]
+
+
+def _fir_of(taps: list[int]) -> RationalFunction:
+    """sum_j taps[j] z^-j / 2^24 as a reduced rational function over z^order."""
+    order = len(taps) - 1
     num, den = _canon(taps[::-1], _COEFF_GRID), _monomial(order)
     if taps[-1] or not order:  # z does not divide num, so num / z^order is reduced
         return RationalFunction._reduced(num, den)
     return RationalFunction(num, den)
+
+
+def _fir_entry(rng, order: int) -> RationalFunction:
+    """Taps uniform on [-1, 1], rounded to the dyadic grid, over z^order."""
+    return _fir_of(_fir_taps(rng, order))
+
+
+# -- a certified bound on a draw's peak gain ----------------------------------
+
+
+def _cos_poly(c: list[int]) -> list[int]:
+    """The cosine series c_0 + 2 sum_s c_s cos(s w) as an integer polynomial
+    in x = cos w: c_0 + 2 sum_s c_s T_s(x) with Chebyshev's T_s."""
+    out = [0] * len(c)
+    out[0] = c[0]
+    prev, cur = [1], [0, 1]  # T_{s-1}, T_s
+    for cs in c[1:]:
+        for i, t in enumerate(cur):
+            out[i] += 2 * cs * t
+        nxt = [0] + [2 * t for t in cur]
+        for i, t in enumerate(prev):
+            nxt[i] -= t
+        prev, cur = cur, nxt
+    return _int_strip(out)
+
+
+def _positive_definite(a: list[list[int]]) -> bool:
+    """Whether the symmetric integer matrix a is positive definite: every
+    leading principal minor, the pivots of fraction-free elimination, is positive."""
+    a = [row[:] for row in a]
+    prev = 1
+    for k in range(len(a)):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return True
+
+
+class _DrawGram:
+    """The Gram matrix M(w) of the narrow side of an FIR draw on the unit circle.
+
+    With integer taps G_j (the draw times 2^24) the draw is
+    G(w) = sum_j G_j e^{-ijw}, and M(w) = sum_{|d| <= m} C_d e^{idw} with
+    C_d = sum_l G_{l+d}^T G_l and C_{-d} = C_d^T: the columns' Gram matrix,
+    or the rows' when they are fewer (conjugating w, which no cosine sees).
+    Its largest eigenvalue is the squared gain. Level-set test (Boyd and
+    Balakrishnan 1990, Bruinsma and Steinbuch 1990): Gamma exceeds
+    it at every w iff Gamma I - M is positive definite at w = 0 and
+    f(x) = det(Gamma I - M), a polynomial in x = cos w, has no zero on
+    [-1, 1]; by continuity an eigenvalue that reached Gamma anywhere would
+    equal it somewhere. Everything is integer, so the test is exact.
+    """
+
+    def __init__(self, lines: list[list[int]], order: int):
+        """lines[p] is narrow line p (column p, or row p when rows are the
+        narrow side) of G_0, G_1, ..., G_m laid end to end, so C_d[p][q] is
+        the dot product of lines[p] shifted by d blocks with lines[q]."""
+        k, wide = len(lines), len(lines[0]) // (order + 1)
+        self.k = k
+        self.C = [[[sum(map(mul, a[d * wide:], b)) for b in lines] for a in lines]
+                  for d in range(order + 1)]
+        if k <= 2:  # closed form: M's diagonal and |M_01|^2 as polynomials in x
+            self.diag = [_cos_poly([C[p][p] for C in self.C]) for p in range(k)]
+        if k == 2:
+            beta = [C[1][0] for C in reversed(self.C[1:])] + [C[0][1] for C in self.C]
+            self.cross = _cos_poly([sum(map(mul, beta[s:], beta)) for s in range(len(beta))])
+
+    def _edge(self, t: int) -> list[list[int]]:
+        """M at w = 0 (t = 1) or w = pi (t = -1), a real symmetric integer matrix."""
+        out = [row[:] for row in self.C[0]]
+        for d, C in enumerate(self.C[1:], 1):
+            for p in range(self.k):
+                for q in range(self.k):
+                    out[p][q] += t ** d * (C[p][q] + C[q][p])
+        return out
+
+    def edge_gain(self) -> float:
+        """The larger gain at w = 0 and w = pi, in floating point and undone
+        from tap scale; the gain of a real matrix, in closed form to two wide."""
+        lam = []
+        for t in (1, -1):
+            if self.k == 1:
+                lam.append(_int_at_unit(self.diag[0], t))
+            elif self.k == 2:
+                a, e, b2 = (_int_at_unit(v, t) for v in (*self.diag, self.cross))
+                half = 0.5 * (a - e)
+                lam.append(0.5 * (a + e) + math.sqrt(half * half + b2))
+            else:
+                lam.append(np.linalg.eigvalsh(np.array(self._edge(t), dtype=float))[-1])
+        return math.sqrt(max(max(lam), 0.0)) / _COEFF_GRID
+
+    def bounds(self, g: float) -> bool:
+        """Whether the draw's peak gain is strictly below g: the level-set test
+        at Gamma = (g 2^24)^2 = P / Q, run on P I - Q M."""
+        p, q = (g * _COEFF_GRID).as_integer_ratio()
+        P, Q = p * p, q * q
+        if self.k > 2:
+            if not _positive_definite([[P * (i == j) - Q * c for j, c in enumerate(row)]
+                                       for i, row in enumerate(self._edge(1))]):
+                return False
+            f = self._level_set(P, Q)
+        else:
+            shifted = [[P - Q * d[0]] + [-Q * c for c in d[1:]] for d in self.diag]
+            f = shifted[0]
+            if self.k == 2:
+                cross = [Q * Q * c for c in self.cross]
+                f = _int_strip([x - y for x, y in zip_longest(
+                    _int_mul(f, shifted[1]), cross, fillvalue=0)])
+            if _int_at_unit(shifted[0], 1) <= 0 or _int_at_unit(f, 1) <= 0:
+                return False
+        return _int_zeros_in_unit_interval(f) == 0
+
+    def _level_set(self, P: int, Q: int) -> list[int]:
+        """det(P I - Q M) in x, from the determinant of z^m (P I - Q M(z)):
+        a polynomial of degree 2mk whose z^{mk + s} coefficient is the cosine
+        series' c_s, by the symmetry M(1/z) = M(z)^T."""
+        m, k = len(self.C) - 1, self.k
+        entries = []
+        for i in range(k):
+            for j in range(k):
+                coeffs = ([-Q * C[j][i] for C in reversed(self.C[1:])]
+                          + [-Q * C[i][j] for C in self.C])
+                coeffs[m] += P * (i == j)
+                entries.append(RationalFunction(_canon(coeffs, 1)))
+        det = TransferMatrix(k, k, entries).determinant().num._n
+        det += [0] * (2 * m * k + 1 - len(det))
+        return _cos_poly(det[m * k:])
+
+    def triangle_bound(self) -> float:
+        """sqrt((m + 1) trace C_0) >= sum_j ||G_j||_F (Cauchy-Schwarz), rounded
+        up to an integer and undone from tap scale: strictly above the peak
+        gain by the triangle inequality, and exact in floating point."""
+        trace = sum(self.C[0][p][p] for p in range(self.k))
+        return (math.isqrt(len(self.C) * trace) + 1) / _COEFF_GRID
+
+
+def _peak_bound(gram: _DrawGram, raw: TransferMatrix) -> float:
+    """A float g that the level-set test proves strictly above raw's peak gain.
+
+    The first try is the larger edge gain times 1 + 2^-40, which holds
+    whenever the peak sits at w = 0 or pi. Otherwise hinf_peak's grid value,
+    a lower bound, times 1 + 2^-40; if that fails too, bisection between it
+    and the triangle bound, keeping the upper end proved.
+    """
+    g = gram.edge_gain() * _BOUND_SLACK
+    if gram.bounds(g):
+        return g
+    lo = hinf_peak(raw)[0]
+    g = lo * _BOUND_SLACK
+    if gram.bounds(g):
+        return g
+    hi = gram.triangle_bound()
+    while hi > lo * _BOUND_SLACK:
+        mid = 0.5 * (lo + hi)
+        if gram.bounds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _check_mask(block_mask: frozenset, shape) -> None:
@@ -129,33 +313,49 @@ def _check_mask(block_mask: frozenset, shape) -> None:
     check_mask_labels(block_mask, row_blocks, col_blocks)
 
 
-def _sample_with_norm(spec: UncertaintySpec, shape) -> tuple[TransferMatrix, float]:
+def _sample_with_norm(spec: UncertaintySpec, shape,
+                      seed: int | None = None) -> tuple[TransferMatrix, float]:
+    """A draw from seed (default spec.seed) and an upper bound on its peak gain.
+
+    The raw draw is rescaled by fill * radius / g for a float g proved
+    above its peak gain (_peak_bound), and the bound is scale * g rounded up.
+    """
     row_blocks, col_blocks = _partition_of(shape)
     rows = sum(s for _, s in row_blocks)
     cols = sum(s for _, s in col_blocks)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed if seed is None else seed)
     zero = RationalFunction(0)
     entries = [zero] * (rows * cols)
+    # lines[p][l * wide + w]: tap l of the entry at narrow index p and wide index w.
+    narrow_cols, wide = cols <= rows, max(rows, cols)
+    lines = [[0] * (wide * (spec.sample_order + 1)) for _ in range(min(rows, cols))]
     r0 = 0
     for ra, rsize in row_blocks:
         c0 = 0
         for cb, csize in col_blocks:
             if (ra, cb) in spec.block_mask:
-                for i in range(rsize):
-                    for j in range(csize):
-                        entries[(r0 + i) * cols + (c0 + j)] = _fir_entry(rng, spec.sample_order)
+                for i in range(r0, r0 + rsize):
+                    for j in range(c0, c0 + csize):
+                        taps = _fir_taps(rng, spec.sample_order)
+                        entries[i * cols + j] = _fir_of(taps)
+                        p, w = (j, i) if narrow_cols else (i, j)
+                        lines[p][w::wide] = taps
             c0 += csize
         r0 += rsize
     raw = TransferMatrix(rows, cols, entries, row_blocks, col_blocks)
     fill = rng.uniform(0.0, 1.0)
     if raw.is_zero():
         return raw, 0.0
-    base = hinf_peak(raw)[0]
-    target = fill * spec.radius / base
+    g = _peak_bound(_DrawGram(lines, spec.sample_order), raw)
+    target = fill * spec.radius / g
     if not math.isfinite(target):
         raise ValueError(f"radius {spec.radius} overflows when a draw is rescaled")
     scale = Fraction(target).limit_denominator(_SCALE_GRID)
-    return raw.scale(RationalFunction(scale)), float(scale) * base
+    bound = scale * Fraction(g)
+    norm = float(bound)
+    if norm < bound:
+        norm = math.nextafter(norm, math.inf)
+    return raw.scale(RationalFunction(scale)), norm
 
 
 def sample_delta(spec: UncertaintySpec, shape) -> TransferMatrix:
@@ -196,9 +396,9 @@ def _evaluate_sample(payload, delta: TransferMatrix,
                      hook=None) -> tuple[StabilityVerdict, bool]:
     """Verdict of one sample (payload: X, or lemma2's (S_hat, R)) and its hook violation.
 
-    delta is sample 0, the zero matrix, or a draw that hinf_peak proved
-    stable before rescaling it by a nonnegative rational, which keeps its
-    denominators; so robust_verdict's stability check is skipped.
+    delta is sample 0, the zero matrix, or an FIR draw, whose denominators
+    are powers of z by construction; so delta is stable and robust_verdict's
+    stability check is skipped.
     """
     try:
         if isinstance(payload, TransferMatrix):
@@ -255,7 +455,7 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
             sizes = (sum(s for _, s in blocks) for blocks in shape)
             delta, norm = TransferMatrix.zeros(*sizes, *shape), 0.0
         else:
-            delta, norm = _sample_with_norm(replace(spec, seed=spec.seed + index), shape)
+            delta, norm = _sample_with_norm(spec, shape, spec.seed + index)
         verdict, violated = _evaluate_sample(payload, delta, constraint)
         violations += violated
         bucket = verdict.status if verdict.status in counts else UNSTABLE

@@ -129,8 +129,8 @@ def test_criterion_2_perturbed_stability_equals_direct_inverse():
                 S_hat = (eye - R).inverse()
                 direct = (eye - R - delta).inverse()
                 # perturbed_stability itself cross-checks the two closed forms
-                # and the supplied nominal realization, all exactly.
-                S_d = perturbed_stability(S_hat, delta, nominal_realization=R)
+                # and the supplied nominal loop matrix, all exactly.
+                S_d = perturbed_stability(S_hat, delta, nominal_loop=eye - R)
             except (SingularMatrix, SingularPerturbedLoop):
                 continue
             assert S_d == direct
@@ -200,7 +200,7 @@ def test_criterion_5_structured_check_agrees_with_direct_perturbation():
                 _, verdict = sls_of_robust_check(ss, maps, dA, dB, dC, dD)
                 pert = cor7_realization_delta(ss, dA, dB, dC, dD)
                 direct = stability_verdict(
-                    perturbed_stability(S_hat, pert, nominal_realization=loop.R))
+                    perturbed_stability(S_hat, pert, nominal_loop=loop.loop))
             except SingularPerturbedLoop:
                 continue
             assert verdict.status == direct.status

@@ -272,3 +272,41 @@ def _power(p, k):
 def test_zeros_outside_pinned(a, count):
     assert poly._int_zeros_outside(a) == count
     assert poly._int_zeros_outside([-c for c in a]) == count
+
+
+# x - 1 and x + 1, and q x - p with p / q in or near [-1, 1], each to a power
+# of 1 to 3, so zeros sit at the ends, inside, just outside and repeated.
+unit_interval_factors = st.tuples(
+    st.sampled_from([[-1, 1], [1, 1]])
+    | st.integers(1, 60).flatmap(lambda q: st.integers(-q - 3, q + 3).map(lambda p: [-p, q])),
+    st.integers(1, 3))
+
+
+@SETTINGS
+@given(st.lists(unit_interval_factors, max_size=4),
+       st.lists(st.integers(-30, 30), min_size=1, max_size=5).filter(any))
+def test_zeros_in_unit_interval_match_sympy(factors, rest):
+    a = poly._int_strip(list(rest))
+    for f, k in factors:
+        a = poly._int_mul(a, _power(f, k))
+    want = sympy.Poly(a[::-1], Z).count_roots(-1, 1)
+    assert poly._int_zeros_in_unit_interval(a) == want
+    assert poly._int_zeros_in_unit_interval([-c for c in a]) == want
+
+
+@pytest.mark.parametrize("a, count", [
+    ([7], 0),
+    ([-1, 1], 1),                          # x = 1
+    ([1, 2], 1),                           # x = -1/2
+    ([3, 1], 0),                           # x = -3
+    ([-1, 0, 1], 2),                       # x = -1 and x = 1
+    (_power([-1, 1], 3), 1),               # a triple zero at 1
+    (_power([1, 2], 2), 1),                # a double zero inside
+    ([1, 0, 1], 0),                        # x^2 + 1
+    ([-1, 0, 2], 2),                       # x^2 = 1/2
+    ([-4, 0, 1], 0),                       # x = +-2
+    (poly._int_mul(_power([-1, 3], 2), [10, 0, 0, 1]), 1),  # 1/3 twice, x^3 = -10
+    (poly._int_mul([-1, 1], _power([1, 0, -2], 2)), 3),     # 1, and +-1/sqrt(2) twice
+])
+def test_zeros_in_unit_interval_pinned(a, count):
+    assert poly._int_zeros_in_unit_interval(a) == count

@@ -260,7 +260,7 @@ def test_perturbed_stability_scalar_oracle():
     R = TransferMatrix(1, 1, [rf(a, Z)], blocks, blocks)
     S_hat = stability_matrix(raw_realization(R))
     delta = TransferMatrix(1, 1, [rf(b, Z)], blocks, blocks)
-    S_d = perturbed_stability(S_hat, delta, nominal_realization=R)
+    S_d = perturbed_stability(S_hat, delta, nominal_loop=TransferMatrix.identity(1) - R)
     assert S_d[0, 0] == rf(Z, Z - a - b)
 
 

@@ -231,7 +231,7 @@ def test_robust_check_matches_direct_perturbation(rng):
         psi, verdict = sls_of_robust_check(ss, maps, dA, dB, zero, zero)
         pert = cor7_realization_delta(ss, dA, dB, zero, zero)
         direct = stability_verdict(perturbed_stability(S_hat, pert,
-                                                       nominal_realization=loop.R))
+                                                       nominal_loop=loop.loop))
         assert verdict.status == direct.status
 
 

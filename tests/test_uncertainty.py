@@ -362,7 +362,7 @@ def test_soundness_violation_stops_at_the_first_bad_sample(monkeypatch):
     margin = iop_margin(quad)
     calls = {"draw": 0, "evaluate": 0}
 
-    def draw(spec, shape):
+    def draw(spec, shape, seed):
         calls["draw"] += 1
         return TransferMatrix.zeros(1, 1, *shape), margin / 2
 
@@ -421,3 +421,124 @@ def test_worst_case_preconditions():
         worst_case_delta(TransferMatrix.zeros(1, 1), 1.0, (0.0, 0.0))
     with pytest.raises(InfiniteMargin):
         worst_case_delta(TransferMatrix.identity(1), math.inf, (1.0, 0.0))
+
+
+# -- the certified peak bound of a draw ------------------------------------------
+
+COR7_SHAPE = ((("x", 1), ("y", 1)), (("x", 1), ("u", 1)))
+COR7_MASK = frozenset({("x", "x"), ("x", "u"), ("y", "x"), ("y", "u")})
+
+
+def _block_shape(rows, cols):
+    return ((("a", rows),), (("b", cols),))
+
+
+def test_edge_peak_draws_skip_the_grid(monkeypatch):
+    from realstab import analysis
+
+    def no_grid(self, zs):
+        raise AssertionError("ran the peak-gain grid")
+
+    monkeypatch.setattr(analysis._GainEvaluator, "peak", no_grid)
+    # |t0 + t1 e^{-iw}|^2 is linear in cos w, so a 1 x 1 order-1 peak is at an edge.
+    for seed in range(20):
+        spec = UncertaintySpec(block_mask={("y", "u")}, radius=0.7, sample_order=1, seed=seed)
+        assert uncertainty._sample_with_norm(spec, G_SHAPE)[1] > 0
+    spec = UncertaintySpec(block_mask=COR7_MASK, radius=0.7, sample_order=1, seed=1)
+    delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE)
+    monkeypatch.undo()
+    peak, omega = hinf_peak(delta)
+    assert min(omega, math.pi - omega) < 1e-6  # an edge-peak 2 x 2 draw
+    assert peak <= norm <= peak * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("lines, order, edge", [
+    # (3 + z^-1) / 16: gain 4/16 at w = 0.
+    ([[3, 1]], 1, 0.25),
+    # diag(3, 5) / 16, constant.
+    ([[3, 0], [0, 5]], 0, 5 / 16),
+    # diag(3 + z^-1, 2, 1 - 2 z^-1) / 16: gain 4/16 at w = 0 and 3/16 at w = pi.
+    ([[3, 0, 0, 1, 0, 0], [0, 2, 0, 0, 0, 0], [0, 0, 1, 0, 0, -2]], 1, 0.25),
+])
+def test_edge_gain_is_not_a_strict_bound(lines, order, edge):
+    gram = uncertainty._DrawGram([[t << 20 for t in line] for line in lines], order)
+    assert gram.edge_gain() == edge
+    assert not gram.bounds(edge)
+    assert gram.bounds(math.nextafter(edge, math.inf))
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 3), (3, 4), (4, 3)])
+def test_wide_draws_are_bounded_tightly(rows, cols):
+    # Three or more wide: the level set comes from the determinant.
+    for seed in range(3):
+        spec = UncertaintySpec(block_mask={("a", "b")}, radius=1.0, sample_order=1, seed=seed)
+        delta, norm = uncertainty._sample_with_norm(spec, _block_shape(rows, cols))
+        peak = hinf_peak(delta)[0]
+        assert peak <= norm <= peak * (1 + 1e-9)
+
+
+def test_a_poor_grid_value_falls_back_to_bisection(monkeypatch):
+    true_peak = uncertainty.hinf_peak
+    monkeypatch.setattr(uncertainty, "hinf_peak", lambda X: (0.5 * true_peak(X)[0], 0.0))
+    for seed in range(1, 30):
+        spec = UncertaintySpec(block_mask=COR7_MASK, radius=1.0, sample_order=2, seed=seed)
+        delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE)
+        peak = true_peak(delta)[0]
+        assert peak <= norm <= peak * (1 + 1e-9)
+
+
+def _mp_peak(mpmath, delta):
+    """(peak gain of delta at 50 digits, whether it sits at w = 0 or pi).
+
+    A 4001-point float grid brackets each local maximum of the largest
+    eigenvalue of the narrow side's Gram matrix; findroot sets its
+    derivative to zero inside the bracket, and the edges are evaluated.
+    """
+    r, c = delta.shape
+    polys = [([mpmath.mpf(x.numerator) / x.denominator for x in reversed(e.num.coeffs)],
+              [mpmath.mpf(x.numerator) / x.denominator for x in reversed(e.den.coeffs)])
+             for e in delta.entries]
+
+    def lam(w):
+        z = mpmath.expj(w)
+        G = mpmath.matrix(r, c)
+        for k, (num, den) in enumerate(polys):
+            G[k // c, k % c] = mpmath.polyval(num, z) / mpmath.polyval(den, z)
+        H = G.H * G if c <= r else G * G.H
+        if H.rows == 1:
+            return mpmath.re(H[0, 0])
+        a, d = mpmath.re(H[0, 0]), mpmath.re(H[1, 1])
+        return (a + d) / 2 + mpmath.sqrt(((a - d) / 2) ** 2 + abs(H[0, 1]) ** 2)
+
+    omegas = np.linspace(0.0, math.pi, 4001)
+    values = np.stack([np.polyval([float(x) for x in num], np.exp(1j * omegas))
+                       / np.polyval([float(x) for x in den], np.exp(1j * omegas))
+                       for num, den in polys], axis=1).reshape(-1, r, c)
+    sig = np.linalg.svd(values, compute_uv=False)[:, 0]
+    with mpmath.workdps(50):
+        edges = max(lam(mpmath.mpf(0)), lam(mpmath.pi))
+        inner = mpmath.mpf(0)
+        for k in range(1, len(omegas) - 1):
+            if sig[k] >= sig[k - 1] and sig[k] >= sig[k + 1]:
+                lo, hi = mpmath.mpf(omegas[k - 1]), mpmath.mpf(omegas[k + 1])
+                slope = lambda w: mpmath.diff(lam, w)  # noqa: E731
+                w = mpmath.findroot(slope, (lo, hi), solver="anderson") \
+                    if slope(lo) > 0 > slope(hi) else mpmath.mpf(omegas[k])
+                inner = max(inner, lam(w))
+        return mpmath.sqrt(max(edges, inner)), edges >= inner
+
+
+def test_draw_norms_bound_the_true_peak():
+    mpmath = pytest.importorskip("mpmath")
+    kinds = set()
+    for rows, cols in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for order in (1, 2, 3, 4):
+            for seed in range(3):
+                spec = UncertaintySpec(block_mask={("a", "b")}, radius=0.9,
+                                       sample_order=order, seed=seed)
+                delta, norm = uncertainty._sample_with_norm(spec, _block_shape(rows, cols))
+                peak, at_edge = _mp_peak(mpmath, delta)
+                kinds.add(at_edge)
+                assert mpmath.mpf(norm) >= peak, (rows, cols, order, seed)
+                assert norm <= peak * (1 + 1e-9), (rows, cols, order, seed)
+    assert kinds == {True, False}  # peaks at the edges and inside
