@@ -205,7 +205,9 @@ class _DrawGram:
         self.k = k
         self.C = [[[sum(map(mul, a[d * wide:], b)) for b in lines] for a in lines]
                   for d in range(order + 1)]
-        if k <= 2:  # closed form: M's diagonal and |M_01|^2 as polynomials in x
+        # To two wide, a closed form (M's diagonal and |M_01|^2 as polynomials
+        # in x), several times cheaper per test than the determinant route.
+        if k <= 2:
             self.diag = [_cos_poly([C[p][p] for C in self.C]) for p in range(k)]
         if k == 2:
             beta = [C[1][0] for C in reversed(self.C[1:])] + [C[0][1] for C in self.C]
@@ -269,7 +271,7 @@ class _DrawGram:
                 coeffs[m] += P * (i == j)
                 entries.append(RationalFunction(_canon(coeffs, 1)))
         det = TransferMatrix(k, k, entries).determinant().num._n
-        det += [0] * (2 * m * k + 1 - len(det))
+        det = det + [0] * (2 * m * k + 1 - len(det))
         return _cos_poly(det[m * k:])
 
     def triangle_bound(self) -> float:
@@ -313,9 +315,8 @@ def _check_mask(block_mask: frozenset, shape) -> None:
     check_mask_labels(block_mask, row_blocks, col_blocks)
 
 
-def _sample_with_norm(spec: UncertaintySpec, shape,
-                      seed: int | None = None) -> tuple[TransferMatrix, float]:
-    """A draw from seed (default spec.seed) and an upper bound on its peak gain.
+def _sample_with_norm(spec: UncertaintySpec, shape, seed: int) -> tuple[TransferMatrix, float]:
+    """A draw from seed and an upper bound on its peak gain.
 
     The raw draw is rescaled by fill * radius / g for a float g proved
     above its peak gain (_peak_bound), and the bound is scale * g rounded up.
@@ -323,7 +324,7 @@ def _sample_with_norm(spec: UncertaintySpec, shape,
     row_blocks, col_blocks = _partition_of(shape)
     rows = sum(s for _, s in row_blocks)
     cols = sum(s for _, s in col_blocks)
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     zero = RationalFunction(0)
     entries = [zero] * (rows * cols)
     # lines[p][l * wide + w]: tap l of the entry at narrow index p and wide index w.
@@ -366,7 +367,7 @@ def sample_delta(spec: UncertaintySpec, shape) -> TransferMatrix:
     uniform on (0, 1). Deterministic given (spec, shape).
     """
     _check_mask(spec.block_mask, shape)
-    return _sample_with_norm(spec, shape)[0]
+    return _sample_with_norm(spec, shape, spec.seed)[0]
 
 
 # -- the corollary conditions and Monte-Carlo certification -----------------

@@ -192,7 +192,7 @@ def _reference_certificate(nominal, spec, n, condition):
         else:
             sample_spec = replace(spec, seed=spec.seed + i)
             delta = sample_delta(sample_spec, shape)
-            norm = uncertainty._sample_with_norm(sample_spec, shape)[1]
+            norm = uncertainty._sample_with_norm(sample_spec, shape, sample_spec.seed)[1]
         try:
             verdict = check(delta)
         except SingularPerturbedLoop:
@@ -443,9 +443,9 @@ def test_edge_peak_draws_skip_the_grid(monkeypatch):
     # |t0 + t1 e^{-iw}|^2 is linear in cos w, so a 1 x 1 order-1 peak is at an edge.
     for seed in range(20):
         spec = UncertaintySpec(block_mask={("y", "u")}, radius=0.7, sample_order=1, seed=seed)
-        assert uncertainty._sample_with_norm(spec, G_SHAPE)[1] > 0
+        assert uncertainty._sample_with_norm(spec, G_SHAPE, spec.seed)[1] > 0
     spec = UncertaintySpec(block_mask=COR7_MASK, radius=0.7, sample_order=1, seed=1)
-    delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE)
+    delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
     monkeypatch.undo()
     peak, omega = hinf_peak(delta)
     assert min(omega, math.pi - omega) < 1e-6  # an edge-peak 2 x 2 draw
@@ -467,12 +467,23 @@ def test_edge_gain_is_not_a_strict_bound(lines, order, edge):
     assert gram.bounds(math.nextafter(edge, math.inf))
 
 
+def test_a_singular_level_set_is_zero():
+    from realstab import matrix
+
+    # diag(3, 2, 1) / 16 with zero second taps: Gamma = 9 (2^20)^2 makes
+    # Gamma I - M singular at every w, so the determinant is the zero entry.
+    lines = [[3 << 20, 0, 0, 0, 0, 0], [0, 2 << 20, 0, 0, 0, 0], [0, 0, 1 << 20, 0, 0, 0]]
+    gram = uncertainty._DrawGram(lines, 1)
+    assert gram._level_set(9 << 40, 1) == [0]
+    assert matrix._ZERO_ENTRY.num._n == [0]  # the shared zero is left as it was
+
+
 @pytest.mark.parametrize("rows, cols", [(3, 3), (3, 4), (4, 3)])
 def test_wide_draws_are_bounded_tightly(rows, cols):
     # Three or more wide: the level set comes from the determinant.
     for seed in range(3):
         spec = UncertaintySpec(block_mask={("a", "b")}, radius=1.0, sample_order=1, seed=seed)
-        delta, norm = uncertainty._sample_with_norm(spec, _block_shape(rows, cols))
+        delta, norm = uncertainty._sample_with_norm(spec, _block_shape(rows, cols), spec.seed)
         peak = hinf_peak(delta)[0]
         assert peak <= norm <= peak * (1 + 1e-9)
 
@@ -482,7 +493,7 @@ def test_a_poor_grid_value_falls_back_to_bisection(monkeypatch):
     monkeypatch.setattr(uncertainty, "hinf_peak", lambda X: (0.5 * true_peak(X)[0], 0.0))
     for seed in range(1, 30):
         spec = UncertaintySpec(block_mask=COR7_MASK, radius=1.0, sample_order=2, seed=seed)
-        delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE)
+        delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
         peak = true_peak(delta)[0]
         assert peak <= norm <= peak * (1 + 1e-9)
 
@@ -536,7 +547,8 @@ def test_draw_norms_bound_the_true_peak():
             for seed in range(3):
                 spec = UncertaintySpec(block_mask={("a", "b")}, radius=0.9,
                                        sample_order=order, seed=seed)
-                delta, norm = uncertainty._sample_with_norm(spec, _block_shape(rows, cols))
+                shape = _block_shape(rows, cols)
+                delta, norm = uncertainty._sample_with_norm(spec, shape, spec.seed)
                 peak, at_edge = _mp_peak(mpmath, delta)
                 kinds.add(at_edge)
                 assert mpmath.mpf(norm) >= peak, (rows, cols, order, seed)
