@@ -7,11 +7,11 @@ Samples are deterministic functions of the seed, sample i of a run is
 drawn from seed + i, and sample 0 is always the zero perturbation (the
 certified conditions quantify over sets containing zero).
 
-A sample's norm is a certified upper bound on its peak gain, not a grid
-estimate: an exact integer level-set test (_DrawGram) proves a float g
-above the raw draw's peak, the draw is rescaled by fill * radius / g, and
-the norm is scale * g rounded up. A sample whose norm is below a margin
-therefore has a peak gain below it too.
+A sample is built once from its integer taps, at its final scale. Its norm
+is a certified upper bound on its peak gain, not a grid estimate: an exact
+integer level-set test (_DrawGram) on the taps proves a float g above their
+peak, the scale is fill * radius / g, and the norm is scale * g rounded up.
+A sample whose norm is below a margin therefore has a peak gain below it too.
 """
 
 from __future__ import annotations
@@ -133,18 +133,13 @@ def _fir_taps(rng, order: int) -> list[int]:
     return [round(c * _COEFF_GRID) for c in rng.uniform(-1.0, 1.0, order + 1)]
 
 
-def _fir_of(taps: list[int]) -> RationalFunction:
-    """sum_j taps[j] z^-j / 2^24 as a reduced rational function over z^order."""
-    order = len(taps) - 1
-    num, den = _canon(taps[::-1], _COEFF_GRID), _monomial(order)
+def _fir_of(taps: list[int], scale=1) -> RationalFunction:
+    """scale * sum_j taps[j] z^-j / 2^24 as a reduced rational function over z^order."""
+    order, p = len(taps) - 1, scale.numerator
+    num = _canon([t * p for t in reversed(taps)], _COEFF_GRID * scale.denominator)
     if taps[-1] or not order:  # z does not divide num, so num / z^order is reduced
-        return RationalFunction._reduced(num, den)
-    return RationalFunction(num, den)
-
-
-def _fir_entry(rng, order: int) -> RationalFunction:
-    """Taps uniform on [-1, 1], rounded to the dyadic grid, over z^order."""
-    return _fir_of(_fir_taps(rng, order))
+        return RationalFunction._reduced(num, _monomial(order))
+    return RationalFunction(num, _monomial(order))
 
 
 # -- a certified bound on a draw's peak gain ----------------------------------
@@ -282,18 +277,19 @@ class _DrawGram:
         return (math.isqrt(len(self.C) * trace) + 1) / _COEFF_GRID
 
 
-def _peak_bound(gram: _DrawGram, raw: TransferMatrix) -> float:
-    """A float g that the level-set test proves strictly above raw's peak gain.
+def _peak_bound(gram: _DrawGram, draw) -> float:
+    """A float g that the level-set test proves strictly above the peak gain of gram's taps.
 
     The first try is the larger edge gain times 1 + 2^-40, which holds
-    whenever the peak sits at w = 0 or pi. Otherwise hinf_peak's grid value,
-    a lower bound, times 1 + 2^-40; if that fails too, bisection between it
-    and the triangle bound, keeping the upper end proved.
+    whenever the peak sits at w = 0 or pi. Otherwise hinf_peak's grid value
+    on draw(), the taps' matrix at scale 1 (built only here), a lower bound,
+    times 1 + 2^-40; if that fails too, bisection between it and the
+    triangle bound, keeping the upper end proved.
     """
     g = gram.edge_gain() * _BOUND_SLACK
     if gram.bounds(g):
         return g
-    lo = hinf_peak(raw)[0]
+    lo = hinf_peak(draw())[0]
     g = lo * _BOUND_SLACK
     if gram.bounds(g):
         return g
@@ -318,15 +314,13 @@ def _check_mask(block_mask: frozenset, shape) -> None:
 def _sample_with_norm(spec: UncertaintySpec, shape, seed: int) -> tuple[TransferMatrix, float]:
     """A draw from seed and an upper bound on its peak gain.
 
-    The raw draw is rescaled by fill * radius / g for a float g proved
-    above its peak gain (_peak_bound), and the bound is scale * g rounded up.
+    The draw is built once from its taps, at scale fill * radius / g for a float g
+    proved above the taps' peak gain (_peak_bound); the bound is scale * g rounded up.
     """
     row_blocks, col_blocks = _partition_of(shape)
     rows = sum(s for _, s in row_blocks)
     cols = sum(s for _, s in col_blocks)
     rng = np.random.default_rng(seed)
-    zero = RationalFunction(0)
-    entries = [zero] * (rows * cols)
     # lines[p][l * wide + w]: tap l of the entry at narrow index p and wide index w.
     narrow_cols, wide = cols <= rows, max(rows, cols)
     lines = [[0] * (wide * (spec.sample_order + 1)) for _ in range(min(rows, cols))]
@@ -337,17 +331,21 @@ def _sample_with_norm(spec: UncertaintySpec, shape, seed: int) -> tuple[Transfer
             if (ra, cb) in spec.block_mask:
                 for i in range(r0, r0 + rsize):
                     for j in range(c0, c0 + csize):
-                        taps = _fir_taps(rng, spec.sample_order)
-                        entries[i * cols + j] = _fir_of(taps)
                         p, w = (j, i) if narrow_cols else (i, j)
-                        lines[p][w::wide] = taps
+                        lines[p][w::wide] = _fir_taps(rng, spec.sample_order)
             c0 += csize
         r0 += rsize
-    raw = TransferMatrix(rows, cols, entries, row_blocks, col_blocks)
     fill = rng.uniform(0.0, 1.0)
-    if raw.is_zero():
-        return raw, 0.0
-    g = _peak_bound(_DrawGram(lines, spec.sample_order), raw)
+    if not any(map(any, lines)):
+        return TransferMatrix.zeros(rows, cols, row_blocks, col_blocks), 0.0
+
+    def draw(scale=1):
+        # Unmasked entries have zero taps, which _fir_of makes the zero entry.
+        entries = [_fir_of(lines[j][i::wide] if narrow_cols else lines[i][j::wide], scale)
+                   for i in range(rows) for j in range(cols)]
+        return TransferMatrix(rows, cols, entries, row_blocks, col_blocks)
+
+    g = _peak_bound(_DrawGram(lines, spec.sample_order), draw)
     target = fill * spec.radius / g
     if not math.isfinite(target):
         raise ValueError(f"radius {spec.radius} overflows when a draw is rescaled")
@@ -356,15 +354,15 @@ def _sample_with_norm(spec: UncertaintySpec, shape, seed: int) -> tuple[Transfer
     norm = float(bound)
     if norm < bound:
         norm = math.nextafter(norm, math.inf)
-    return raw.scale(RationalFunction(scale)), norm
+    return draw(scale), norm
 
 
 def sample_delta(spec: UncertaintySpec, shape) -> TransferMatrix:
     """Draw one structured FIR perturbation with peak gain below spec.radius.
 
     Taps are uniform on [-1, 1] (dyadically quantized so they stay exact),
-    then the whole matrix is rescaled to a peak gain of u * radius with u
-    uniform on (0, 1). Deterministic given (spec, shape).
+    and the matrix is scaled so that its peak gain is at most a certified bound
+    of about u * radius, u uniform on (0, 1). Deterministic given (spec, shape).
     """
     _check_mask(spec.block_mask, shape)
     return _sample_with_norm(spec, shape, spec.seed)[0]

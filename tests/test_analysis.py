@@ -22,7 +22,7 @@ from realstab.analysis import (
 )
 from realstab.errors import NotStable, PoleOnGrid
 from realstab.matrix import TransferMatrix
-from realstab.uncertainty import _fir_entry
+from realstab.uncertainty import _fir_of, _fir_taps
 
 from conftest import HALF, Z, random_proper, rf
 
@@ -315,7 +315,7 @@ def _assert_within_flat_tolerance(X):
 
 def _fir_matrix(seed, rows, cols, order):
     gen = np.random.default_rng(seed)
-    return TransferMatrix(rows, cols, [_fir_entry(gen, order) for _ in range(rows * cols)])
+    return TransferMatrix(rows, cols, [_fir_of(_fir_taps(gen, order)) for _ in range(rows * cols)])
 
 
 def test_flat_stop_on_fir_draws():

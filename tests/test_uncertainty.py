@@ -74,7 +74,8 @@ def test_raw_fir_draws_are_pinned():
     for seed in range(500):
         gen = np.random.default_rng(seed)
         for order in range(5):
-            digest.update(repr(uncertainty._fir_entry(gen, order)).encode() + b";")
+            taps = uncertainty._fir_taps(gen, order)
+            digest.update(repr(uncertainty._fir_of(taps)).encode() + b";")
     assert digest.hexdigest() == ("a343420b63ab6b2c5883be620b2f0d52"
                                   "0ba08bb9aee42501d32213c410309198")
 
@@ -83,7 +84,11 @@ def test_fir_draw_with_zero_constant_tap_is_reduced():
     class Taps:
         def uniform(self, lo, hi, size):
             return np.array([0.5, 0.25, 0.0])
-    assert uncertainty._fir_entry(Taps(), 2) == rf(HALF * Z + Fraction(1, 4), Z)
+    taps = uncertainty._fir_taps(Taps(), 2)
+    assert uncertainty._fir_of(taps) == rf(HALF * Z + Fraction(1, 4), Z)
+    scaled = uncertainty._fir_of(taps, Fraction(3, 7))
+    assert scaled == rf(Fraction(3, 7) * (HALF * Z + Fraction(1, 4)), Z)
+    assert scaled.den == Z  # z cancelled at a non-unit scale too
 
 
 def test_empty_mask_rejected():
@@ -496,6 +501,78 @@ def test_a_poor_grid_value_falls_back_to_bisection(monkeypatch):
         delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
         peak = true_peak(delta)[0]
         assert peak <= norm <= peak * (1 + 1e-9)
+
+
+# (shape, mask, order): 1 x 1, cor7's 2 x 2, a 3 x 2 partition whose size-2
+# row block sits under a partial mask, and a 3 x 3 draw (the determinant route).
+SAMPLED_SHAPES = (
+    [(G_SHAPE, {("y", "u")}, order) for order in (0, 1, 2)]
+    + [(COR7_SHAPE, COR7_MASK, order) for order in (1, 2)]
+    + [(((("a", 1), ("b", 2)), (("c", 1), ("d", 1))), {("a", "d"), ("b", "c")}, 1),
+       (_block_shape(3, 3), {("a", "b")}, 1)])
+
+
+def test_scaled_draws_are_pinned():
+    # sha256 of the scaled draws and their norms, seeds 0-49 of each shape;
+    # any change to the taps, the peak bound, the scale or the canonical
+    # form of the scaled entries moves it.
+    digest = hashlib.sha256()
+    for shape, mask, order in SAMPLED_SHAPES:
+        for seed in range(50):
+            spec = UncertaintySpec(block_mask=mask, radius=0.9, sample_order=order, seed=seed)
+            delta, norm = uncertainty._sample_with_norm(spec, shape, seed)
+            digest.update(repr(delta).encode() + norm.hex().encode() + b";")
+    assert digest.hexdigest() == ("a7a87c9bf850fb5ab0c7b9a7756d1f9a"
+                                  "ca1f8f1848e7db71f679ca122d1834d9")
+
+
+def test_draws_are_built_once_at_their_scale(monkeypatch):
+    from realstab.ratfun import RationalFunction
+
+    def forbidden(*args):
+        raise AssertionError("a draw went through generic rescaling")
+
+    monkeypatch.setattr(TransferMatrix, "scale", forbidden)
+    monkeypatch.setattr(RationalFunction, "__mul__", forbidden)
+    for shape, mask, order in SAMPLED_SHAPES:
+        for seed in range(1, 6):
+            spec = UncertaintySpec(block_mask=mask, radius=0.9, sample_order=order, seed=seed)
+            assert uncertainty._sample_with_norm(spec, shape, seed)[1] > 0
+
+
+def test_only_the_grid_fallback_builds_the_unscaled_draw(monkeypatch):
+    true_peak = uncertainty.hinf_peak
+    seen = []
+
+    def spy(X):
+        seen.append(X)
+        return true_peak(X)
+
+    monkeypatch.setattr(uncertainty, "hinf_peak", spy)
+    fallbacks = 0
+    for seed in range(1, 601):
+        spec = UncertaintySpec(block_mask=COR7_MASK, radius=1.0, sample_order=1, seed=seed)
+        uncertainty._sample_with_norm(spec, COR7_SHAPE, seed)
+        if len(seen) > fallbacks:
+            gen = np.random.default_rng(seed)
+            taps = [uncertainty._fir_taps(gen, 1) for _ in range(4)]
+            assert seen[fallbacks] == TransferMatrix(2, 2, [uncertainty._fir_of(t) for t in taps])
+            fallbacks += 1
+        assert len(seen) == fallbacks
+    assert fallbacks == 41
+
+
+def test_a_draw_of_zero_taps_is_the_zero_matrix(monkeypatch):
+    def no_gram(lines, order):
+        raise AssertionError("built a Gram matrix for a zero draw")
+
+    monkeypatch.setattr(uncertainty, "_fir_taps", lambda rng, order: [0] * (order + 1))
+    monkeypatch.setattr(uncertainty, "_DrawGram", no_gram)
+    spec = UncertaintySpec(block_mask=COR7_MASK, radius=1.0, sample_order=2, seed=3)
+    delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
+    assert delta == TransferMatrix.zeros(2, 2)
+    assert (delta.row_blocks, delta.col_blocks) == COR7_SHAPE
+    assert norm == 0.0
 
 
 def _mp_peak(mpmath, delta):
