@@ -82,6 +82,10 @@ class StabilityVerdict:
         return f"{self.status} ({len(self.witnesses)} witness(es))"
 
 
+# The one stable verdict: it is frozen and has no witnesses, so every caller shares it.
+STABLE_VERDICT = StabilityVerdict(STABLE)
+
+
 def _as_matrix(x) -> TransferMatrix:
     if isinstance(x, TransferMatrix):
         return x
@@ -142,7 +146,7 @@ def stability_verdict(Xm) -> StabilityVerdict:
                 witnesses += [(p, modulus)] * count
                 unstable = unstable or modulus > 1 + STABILITY_TOL
     if not witnesses:
-        return StabilityVerdict(STABLE)
+        return STABLE_VERDICT
     witnesses.sort(key=lambda w: (-w[1], w[0].real, w[0].imag))
     return StabilityVerdict(UNSTABLE if unstable else MARGINAL, tuple(witnesses))
 

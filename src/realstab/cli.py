@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import (STABLE, StabilityVerdict, freq_response, hinf_peak, matrix_poles,
+from .analysis import (STABLE_VERDICT, freq_response, hinf_peak, matrix_poles,
                        stability_verdict)
 from .errors import (
     DimensionMismatch,
@@ -162,7 +162,7 @@ def cmd_margin(args) -> int:
     epsilon = math.inf if operand.is_zero() else 1.0 / norm
     kind = "small-gain-IOP" if args.condition == "cor3" else "small-gain-SLS-OF"
     # hinf_peak has already required the operand to be stable.
-    cert = Certificate(kind=kind, margin=epsilon, verdict=StabilityVerdict(STABLE),
+    cert = Certificate(kind=kind, margin=epsilon, verdict=STABLE_VERDICT,
                        condition_ref=args.condition)
     print(f"condition {args.condition}: margin epsilon = {epsilon} "
           f"(reciprocal of peak gain {norm})")

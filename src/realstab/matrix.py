@@ -460,20 +460,26 @@ def product_is_identity(X: TransferMatrix, Y: TransferMatrix) -> bool:
                for i, (P, l) in enumerate(rows) for j, (Q, m) in enumerate(cols))
 
 
-def _loop_rows(D: TransferMatrix, X: TransferMatrix):
+def _cleared_loop(D: TransferMatrix, X: TransferMatrix):
+    """(rows, (Q, m)) for _loop_rows: the rows of D cleared to (P_i, l_i) and
+    X cleared over one denominator, Q its entries in row-major order."""
+    if D.cols != X.rows or X.cols != D.rows:
+        raise DimensionMismatch(f"{D.shape} and {X.shape} do not close a loop")
+    return [_cleared(D.row(i)) for i in range(D.rows)], _cleared(X.entries)
+
+
+def _loop_rows(rows, cleared_X):
     """The rows of (I - D X) l_i m, packed, with the scales l_i and m and their width.
 
-    With the rows of D cleared to (P_i, l_i) and X = Q / m over one
-    denominator, row i of (I - D X) l_i m is delta_ij l_i m - P_i . Q_j,
-    of l1 norm at most |l_i| |m| + sum_k |P_ik| |Q_k| (|Q_k| that of row k
-    of Q), so det(I - D X) = det(rows) / (prod(l_i) m^n).
+    rows are those of D as integer polynomials (P_i, l_i), D_ij = P_ij / l_i,
+    with l_i any multiple of the row's denominators, and cleared_X is
+    X = Q / m over one denominator. Row i of (I - D X) l_i m is
+    delta_ij l_i m - P_i . Q_j, of l1 norm at most |l_i| |m| + sum_k |P_ik| |Q_k|
+    (|Q_k| that of row k of Q), so det(I - D X) = det(rows) / (prod(l_i) m^n).
     """
-    n = D.rows
-    if D.cols != X.rows or X.cols != n:
-        raise DimensionMismatch(f"{D.shape} and {X.shape} do not close a loop")
-    rows = [_cleared(D.row(i)) for i in range(n)]
-    Q, m = _cleared(X.entries)
-    q_norms = [sum(map(_norm, Q[r * n:(r + 1) * n])) for r in range(D.cols)]
+    Q, m = cleared_X
+    n = len(rows)
+    q_norms = [sum(map(_norm, Q[r * n:(r + 1) * n])) for r in range(len(Q) // n)]
     k = _width(prod(max(1, _norm(l) * _norm(m) + sum(map(mul, map(_norm, P), q_norms)))
                     for P, l in rows))
     cols = [[_pack(q, k) for q in Q[j::n]] for j in range(n)]
@@ -489,14 +495,15 @@ def _loop_rows(D: TransferMatrix, X: TransferMatrix):
 def loop_determinant(D: TransferMatrix, X: TransferMatrix) -> RationalFunction:
     """det(I - D X), exact, without forming D X: the rows of (I - D X) l_i m
     are formed packed and eliminated once, and the ratio is canonicalized once."""
-    return _determinant(*_loop_rows(D, X))
+    return _determinant(*_loop_rows(*_cleared_loop(D, X)))
 
 
-def _loop_numerator(D: TransferMatrix, X: TransferMatrix) -> tuple[list[int], int]:
-    """(N, s) with det(I - D X) = N / scale, uncancelled: N the eliminated
-    integer polynomial ([0] when singular) and s the degree of the scale
-    prod(l_i) m^n, a product of denominators of D and X."""
-    work, scales, k = _loop_rows(D, X)
+def _loop_numerator(rows, cleared_X) -> tuple[list[int], int]:
+    """(N, s) with det(I - D X) = N / scale, uncancelled, for _loop_rows' rows
+    of D and cleared X: N the eliminated integer polynomial ([0] when singular)
+    and s the degree of the scale prod(l_i) m^n. Every zero of an l_i is 0 or
+    a pole of row i of D, and every zero of m a pole of X, as for _cleared's."""
+    work, scales, k = _loop_rows(rows, cleared_X)
     return _eliminated(work, k), sum(len(l) - 1 for l in scales)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import STABLE, StabilityVerdict, require_stable, stability_verdict
+from .analysis import STABLE_VERDICT, StabilityVerdict, require_stable, stability_verdict
 from .errors import (
     DimensionMismatch,
     IdentityCheckFailed,
@@ -34,6 +34,7 @@ from .errors import (
 from .matrix import (
     StateSpace,
     TransferMatrix,
+    _cleared_loop,
     _loop_numerator,
     block_matrix,
     product_is_identity,
@@ -318,11 +319,11 @@ def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
 
     The determinant is read uncancelled, as N / scale from the packed
     elimination, with scale = prod(l_i) m^n built from denominators of
-    Delta and X. Every zero of the scale is a pole of Delta or of X, so it
-    lies strictly inside the circle, and cancelling a common factor takes
-    the same degree from N and the scale. So deg N == deg scale exactly
-    when deg n == deg d, and N has every zero strictly inside exactly when
-    n has. When both hold, the second by an exact integer zero count
+    Delta and X and powers of z. Every zero of the scale is 0 or a pole of
+    Delta or of X, so it lies strictly inside the circle, and cancelling a
+    common factor takes the same degree from N and the scale. So
+    deg N == deg scale exactly when deg n == deg d, and N has every zero
+    strictly inside exactly when n has. When both hold, the second by an exact integer zero count
     (poly._int_zeros_outside returns 0), this returns stable without
     forming Psi. Every other sample, a singular count included, forms Psi
     once and returns robust_loop's verdict, status and witnesses alike. X
@@ -340,12 +341,19 @@ def robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str,
 
 def _robust_verdict(X: TransferMatrix, delta: TransferMatrix, name: str) -> StabilityVerdict:
     """robust_verdict for a Delta already known to be stable."""
-    N, scale_degree = _loop_numerator(delta, X)
+    if _count_proves_stable(*_cleared_loop(delta, X), name):
+        return STABLE_VERDICT
+    return stability_verdict(perturbed_loop(delta * X, name))
+
+
+def _count_proves_stable(rows, cleared_X, name: str) -> bool:
+    """Whether robust_verdict's exact zero count proves (I - Delta X)^-1 stable,
+    for Delta's rows and X cleared as matrix._loop_rows takes them. Raises
+    SingularPerturbedLoop(f"{name} is singular") when det(I - Delta X) is zero."""
+    N, scale_degree = _loop_numerator(rows, cleared_X)
     if not N[-1]:
         raise SingularPerturbedLoop(f"{name} is singular")
-    if len(N) - 1 == scale_degree and _int_zeros_outside(N) == 0:
-        return StabilityVerdict(STABLE)
-    return stability_verdict(perturbed_loop(delta * X, name))
+    return len(N) - 1 == scale_degree and _int_zeros_outside(N) == 0
 
 
 def perturbed_stability(S_hat: TransferMatrix, delta,

@@ -7,11 +7,17 @@ Samples are deterministic functions of the seed, sample i of a run is
 drawn from seed + i, and sample 0 is always the zero perturbation (the
 certified conditions quantify over sets containing zero).
 
-A sample is built once from its integer taps, at its final scale. Its norm
+A sample is its integer taps and an integer scale p / q (_Draw). Its norm
 is a certified upper bound on its peak gain, not a grid estimate: an exact
 integer level-set test (_DrawGram) on the taps proves a float g above their
-peak, the scale is fill * radius / g, and the norm is scale * g rounded up.
-A sample whose norm is below a margin therefore has a peak gain below it too.
+peak, the scale is fill * radius / g on a 2^40 denominator grid, and the
+norm is scale * g rounded up, all in integer arithmetic. A sample whose
+norm is below a margin therefore has a peak gain below it too.
+
+A corollary's check runs on the taps as well: the exact zero count of
+det(I - Delta X) takes Delta's rows straight from them, with X cleared
+once per run. A sample's TransferMatrix is formed only for lemma2-direct,
+for a sample the count does not prove stable, and for sample_delta.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import numpy as np
 from .analysis import (
     MARGINAL,
     STABLE,
+    STABLE_VERDICT,
     UNSTABLE,
     StabilityVerdict,
     hinf_peak,
@@ -43,7 +50,7 @@ from .errors import (
     SoundnessViolation,
 )
 from .iop import IopQuadruple
-from .matrix import TransferMatrix, loop_determinant
+from .matrix import TransferMatrix, _cleared, loop_determinant
 from .poly import (
     _canon,
     _int_at_unit,
@@ -55,15 +62,17 @@ from .poly import (
 from .ratfun import RationalFunction
 from .realization import (
     RealizationSystem,
-    _robust_verdict,
+    _count_proves_stable,
     check_mask_labels,
     normalize_mask,
+    perturbed_loop,
     perturbed_stability,
     stability_matrix,
 )
 from .sls import SlsOutputFeedback
 
 CHECKERS = ("lemma2-direct", "cor3", "cor7", "cor9")
+_LOOP = "I - Delta*X"
 
 _COEFF_GRID = 1 << 24  # dyadic quantization keeps exact arithmetic fast
 _SCALE_GRID = 1 << 40
@@ -128,9 +137,11 @@ def _partition_of(shape):
     return tuple(row_blocks), tuple(col_blocks)
 
 
-def _fir_taps(rng, order: int) -> list[int]:
-    """Taps uniform on [-1, 1] as integers on the dyadic grid; tap j multiplies z^-j."""
-    return [round(c * _COEFF_GRID) for c in rng.uniform(-1.0, 1.0, order + 1)]
+def _fir_taps(rng, order: int, count: int = 1) -> list[int]:
+    """The taps of count entries, entry after entry, uniform on [-1, 1] as
+    integers on the dyadic grid; tap j of an entry multiplies z^-j."""
+    return [round(c) for c in (rng.uniform(-1.0, 1.0, count * (order + 1))
+                               * _COEFF_GRID).tolist()]
 
 
 def _fir_of(taps: list[int], scale=1) -> RationalFunction:
@@ -277,19 +288,19 @@ class _DrawGram:
         return (math.isqrt(len(self.C) * trace) + 1) / _COEFF_GRID
 
 
-def _peak_bound(gram: _DrawGram, draw) -> float:
+def _peak_bound(gram: _DrawGram, unscaled) -> float:
     """A float g that the level-set test proves strictly above the peak gain of gram's taps.
 
     The first try is the larger edge gain times 1 + 2^-40, which holds
     whenever the peak sits at w = 0 or pi. Otherwise hinf_peak's grid value
-    on draw(), the taps' matrix at scale 1 (built only here), a lower bound,
+    on unscaled(), the taps' matrix at scale 1 (built only here), a lower bound,
     times 1 + 2^-40; if that fails too, bisection between it and the
     triangle bound, keeping the upper end proved.
     """
     g = gram.edge_gain() * _BOUND_SLACK
     if gram.bounds(g):
         return g
-    lo = hinf_peak(draw())[0]
+    lo = hinf_peak(unscaled())[0]
     g = lo * _BOUND_SLACK
     if gram.bounds(g):
         return g
@@ -311,50 +322,120 @@ def _check_mask(block_mask: frozenset, shape) -> None:
     check_mask_labels(block_mask, row_blocks, col_blocks)
 
 
-def _sample_with_norm(spec: UncertaintySpec, shape, seed: int) -> tuple[TransferMatrix, float]:
+def _limit_denominator(n: int, d: int) -> tuple[int, int]:
+    """Fraction(n, d).limit_denominator(_SCALE_GRID) as (p, q), for n / d in
+    lowest terms with n >= 0 and d > 0: the nearer of the last convergent of
+    n / d and the last semiconvergent below the bound, the former on a tie."""
+    if d <= _SCALE_GRID:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, d
+    while True:
+        t = a // b
+        q2 = q0 + t * q1
+        if q2 > _SCALE_GRID:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + t * p1, q2
+        a, b = b, a - t * b
+    k = (_SCALE_GRID - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, times d q1 q2.
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def _round_up(num: int, den: int) -> float:
+    """The least float at least num / den, for num >= 0 and den > 0."""
+    out = num / den  # correctly rounded
+    n, d = out.as_integer_ratio()
+    return math.nextafter(out, math.inf) if n * den < num * d else out
+
+
+class _Draw:
+    """A sample as its integer taps: the structured FIR matrix
+    p / (2^24 q) sum_j G_j z^-j, with the taps G_j laid out in lines as
+    _DrawGram reads them. A draw without lines is the zero perturbation."""
+
+    __slots__ = ("row_blocks", "col_blocks", "shape", "lines", "p", "q")
+
+    def __init__(self, row_blocks, col_blocks):
+        self.row_blocks, self.col_blocks = row_blocks, col_blocks
+        self.shape = tuple(sum(s for _, s in blocks) for blocks in (row_blocks, col_blocks))
+        self.lines = None
+        self.p = self.q = 1
+
+    def _entry_taps(self):
+        """Each entry's taps, rows in turn; lines[p][l * wide + w] is tap l of
+        the entry at narrow index p and wide index w."""
+        (rows, cols), lines = self.shape, self.lines
+        if cols <= rows:
+            return [lines[j][i::rows] for i in range(rows) for j in range(cols)]
+        return [lines[i][j::cols] for i in range(rows) for j in range(cols)]
+
+    def rows(self) -> list[tuple[list[list[int]], list[int]]]:
+        """Delta's rows as matrix._loop_rows takes them: P_ij is p times entry
+        (i, j)'s taps reversed, over l_i = 2^24 q z^order, a multiple of the
+        denominators of row i (z^order, or less where the last taps are zero)."""
+        rows, cols = self.shape
+        if self.lines is None:
+            return [([[0]] * cols, [1])] * rows
+        taps = self._entry_taps()
+        p = self.p
+        l = [0] * (len(taps[0]) - 1) + [_COEFF_GRID * self.q]
+        P = [_int_strip([p * t for t in reversed(entry)]) for entry in taps]
+        return [(P[i:i + cols], l) for i in range(0, len(P), cols)]
+
+    def matrix(self) -> TransferMatrix:
+        """Delta as a TransferMatrix, each entry through _fir_of at the scale p / q."""
+        if self.lines is None:
+            return TransferMatrix.zeros(*self.shape, self.row_blocks, self.col_blocks)
+        scale = Fraction(self.p, self.q)
+        # Unmasked entries have zero taps, which _fir_of makes the zero entry.
+        return TransferMatrix(*self.shape,
+                              [_fir_of(taps, scale) for taps in self._entry_taps()],
+                              self.row_blocks, self.col_blocks)
+
+
+def _sample_with_norm(spec: UncertaintySpec, shape, seed: int) -> tuple[_Draw, float]:
     """A draw from seed and an upper bound on its peak gain.
 
-    The draw is built once from its taps, at scale fill * radius / g for a float g
-    proved above the taps' peak gain (_peak_bound); the bound is scale * g rounded up.
+    The draw's scale is fill * radius / g, rounded to a denominator of at
+    most 2^40, for a float g proved above the taps' peak gain (_peak_bound);
+    the bound is scale * g rounded up.
     """
     row_blocks, col_blocks = _partition_of(shape)
-    rows = sum(s for _, s in row_blocks)
-    cols = sum(s for _, s in col_blocks)
-    rng = np.random.default_rng(seed)
-    # lines[p][l * wide + w]: tap l of the entry at narrow index p and wide index w.
+    draw = _Draw(row_blocks, col_blocks)
+    rows, cols = draw.shape
     narrow_cols, wide = cols <= rows, max(rows, cols)
-    lines = [[0] * (wide * (spec.sample_order + 1)) for _ in range(min(rows, cols))]
+    cells = []  # (narrow index, wide index) of each masked entry, in draw order
     r0 = 0
     for ra, rsize in row_blocks:
         c0 = 0
         for cb, csize in col_blocks:
             if (ra, cb) in spec.block_mask:
-                for i in range(r0, r0 + rsize):
-                    for j in range(c0, c0 + csize):
-                        p, w = (j, i) if narrow_cols else (i, j)
-                        lines[p][w::wide] = _fir_taps(rng, spec.sample_order)
+                cells += [(j, i) if narrow_cols else (i, j)
+                          for i in range(r0, r0 + rsize) for j in range(c0, c0 + csize)]
             c0 += csize
         r0 += rsize
+    rng = np.random.default_rng(seed)
+    step = spec.sample_order + 1
+    taps = _fir_taps(rng, spec.sample_order, len(cells))
     fill = rng.uniform(0.0, 1.0)
-    if not any(map(any, lines)):
-        return TransferMatrix.zeros(rows, cols, row_blocks, col_blocks), 0.0
+    if not any(taps):
+        return draw, 0.0
+    draw.lines = [[0] * (wide * step) for _ in range(min(rows, cols))]
+    for e, (p, w) in enumerate(cells):
+        draw.lines[p][w::wide] = taps[e * step:(e + 1) * step]
 
-    def draw(scale=1):
-        # Unmasked entries have zero taps, which _fir_of makes the zero entry.
-        entries = [_fir_of(lines[j][i::wide] if narrow_cols else lines[i][j::wide], scale)
-                   for i in range(rows) for j in range(cols)]
-        return TransferMatrix(rows, cols, entries, row_blocks, col_blocks)
-
-    g = _peak_bound(_DrawGram(lines, spec.sample_order), draw)
+    # Until p / q is set, draw.matrix() is the taps' matrix at scale 1.
+    g = _peak_bound(_DrawGram(draw.lines, spec.sample_order), draw.matrix)
     target = fill * spec.radius / g
     if not math.isfinite(target):
         raise ValueError(f"radius {spec.radius} overflows when a draw is rescaled")
-    scale = Fraction(target).limit_denominator(_SCALE_GRID)
-    bound = scale * Fraction(g)
-    norm = float(bound)
-    if norm < bound:
-        norm = math.nextafter(norm, math.inf)
-    return draw(scale), norm
+    draw.p, draw.q = _limit_denominator(*target.as_integer_ratio())
+    gn, gd = g.as_integer_ratio()
+    return draw, _round_up(draw.p * gn, draw.q * gd)
 
 
 def sample_delta(spec: UncertaintySpec, shape) -> TransferMatrix:
@@ -365,7 +446,7 @@ def sample_delta(spec: UncertaintySpec, shape) -> TransferMatrix:
     of about u * radius, u uniform on (0, 1). Deterministic given (spec, shape).
     """
     _check_mask(spec.block_mask, shape)
-    return _sample_with_norm(spec, shape, spec.seed)[0]
+    return _sample_with_norm(spec, shape, spec.seed)[0].matrix()
 
 
 # -- the corollary conditions and Monte-Carlo certification -----------------
@@ -391,18 +472,25 @@ def robust_condition(nominal, condition: str) -> tuple[tuple, tuple, TransferMat
     raise ValueError(f"unknown condition {condition!r}")
 
 
-def _evaluate_sample(payload, delta: TransferMatrix,
-                     hook=None) -> tuple[StabilityVerdict, bool]:
-    """Verdict of one sample (payload: X, or lemma2's (S_hat, R)) and its hook violation.
+def _evaluate_sample(payload, draw: _Draw, hook=None) -> tuple[StabilityVerdict, bool]:
+    """Verdict of one sample and its hook violation. payload is (X, X cleared
+    by matrix._cleared) for a corollary, or lemma2's (S_hat, R).
 
-    delta is sample 0, the zero matrix, or an FIR draw, whose denominators
-    are powers of z by construction; so delta is stable and robust_verdict's
-    stability check is skipped.
+    draw is sample 0, the zero perturbation, or an FIR draw, whose
+    denominators are powers of z by construction; so Delta is stable and
+    robust_verdict's stability check is skipped. Around X, its exact zero
+    count runs on the draw's integer rows; Delta's matrix and Psi are formed
+    only when the count does not prove the sample stable. A singular loop is
+    decided by that count too. lemma2 forms Delta's matrix for every sample.
     """
     try:
-        if isinstance(payload, TransferMatrix):
-            return _robust_verdict(payload, delta, "I - Delta*X"), False
+        if isinstance(payload[1], tuple):
+            X, cleared_X = payload
+            if _count_proves_stable(draw.rows(), cleared_X, _LOOP):
+                return STABLE_VERDICT, False
+            return stability_verdict(perturbed_loop(draw.matrix() * X, _LOOP)), False
         S_hat, R = payload
+        delta = draw.matrix()
         S_delta = perturbed_stability(S_hat, delta)
         verdict = stability_verdict(S_delta)
     except SingularPerturbedLoop:
@@ -441,8 +529,9 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
         shape, margin = (nominal.partition, nominal.partition), None
         payload = (stability_matrix(nominal), nominal.R)
     else:
-        rows, cols, payload = robust_condition(nominal, checker)
-        shape, margin = (rows, cols), small_gain_margin(payload)
+        rows, cols, X = robust_condition(nominal, checker)
+        shape, margin = (rows, cols), small_gain_margin(X)
+        payload = (X, _cleared(X.entries))
     _check_mask(spec.block_mask, shape)
 
     counts = {STABLE: 0, MARGINAL: 0, UNSTABLE: 0}
@@ -451,11 +540,10 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
     violations = 0
     for index in range(n):
         if index == 0:
-            sizes = (sum(s for _, s in blocks) for blocks in shape)
-            delta, norm = TransferMatrix.zeros(*sizes, *shape), 0.0
+            draw, norm = _Draw(*shape), 0.0
         else:
-            delta, norm = _sample_with_norm(spec, shape, spec.seed + index)
-        verdict, violated = _evaluate_sample(payload, delta, constraint)
+            draw, norm = _sample_with_norm(spec, shape, spec.seed + index)
+        verdict, violated = _evaluate_sample(payload, draw, constraint)
         violations += violated
         bucket = verdict.status if verdict.status in counts else UNSTABLE
         counts[bucket] += 1
@@ -468,7 +556,7 @@ def monte_carlo_certify(nominal, spec: UncertaintySpec, n: int, checker: str,
                 worst[bucket] = (norm, verdict.witnesses)
 
     if not worst:
-        verdict = StabilityVerdict(STABLE)
+        verdict = STABLE_VERDICT
         worst_norm = max_norm
     else:
         status = UNSTABLE if counts[UNSTABLE] else MARGINAL

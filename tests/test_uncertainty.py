@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from realstab import realization, uncertainty
+from realstab import matrix, realization, uncertainty
 from realstab.analysis import StabilityVerdict, hinf_norm, hinf_peak, stability_verdict
 from realstab.errors import (
     DimensionMismatch,
@@ -18,7 +18,8 @@ from realstab.errors import (
 )
 from realstab.iop import iop_from_loop, iop_margin, iop_robust_check
 from realstab.matrix import StateSpace, TransferMatrix
-from realstab.realization import build_plant_controller, raw_realization, robust_loop
+from realstab.realization import (build_plant_controller, raw_realization, robust_loop,
+                                  robust_verdict)
 from realstab.sls import sls_of_from_controller, sls_of_margin, sls_of_robust_check
 from realstab.youla import deadbeat_observer_gain, deadbeat_state_gain, observer_controller
 from realstab.uncertainty import (
@@ -266,6 +267,117 @@ def test_sampler_matches_named_checkers_on_observer_plants(A, radius_share, seed
     _assert_sampler_matches(observer_of_maps(A), "cor7", FULL, radius_share, 1, seed, 30)
 
 
+def _certificate_runs(condition):
+    """(nominal, mask, margin, samples per run) of a pinned certificate run;
+    lemma2-direct perturbs the scalar loop's realization, at cor3's margin."""
+    if condition == "cor3":
+        quad = scalar_quad()
+        return quad, {("y", "u")}, iop_margin(quad), 40
+    if condition == "cor7":
+        maps = scalar_of_maps()
+        return maps, FULL, sls_of_margin(maps), 40
+    loop = build_plant_controller(TransferMatrix(1, 1, [rf(1, Z)]),
+                                  TransferMatrix(1, 1, [rf(HALF)]))
+    mask = {(a, b) for a, _ in loop.partition for b, _ in loop.partition}
+    return loop, mask, iop_margin(scalar_quad()), 10
+
+
+@pytest.mark.parametrize("condition, want", [
+    ("cor3", "8e5560947c022573a02840eb0176490cd9cac9e13068eff97ecef1fb4ae8e4f0"),
+    ("cor7", "ef581fc37ce3bd36563407ed544278daf1ff27790e7260254588b0e1e10ea07d"),
+    ("lemma2-direct",
+     "a1ba5eaf17ea8ceeefac64134f6f24c029de30077b1797cdc8753497d6381670"),
+])
+def test_certificates_are_pinned(condition, want):
+    # sha256 of repr(Certificate) of seeds 0-9 at 0.99 and 3 times the
+    # margin, orders 1 and 2 in turn: stable and unstable runs, witnesses
+    # and worst norms included. Any change to a draw, its norm or a
+    # sample's verdict moves it.
+    nominal, mask, margin, n = _certificate_runs(condition)
+    digest = hashlib.sha256()
+    for share in (0.99, 3.0):
+        for seed in range(10):
+            spec = UncertaintySpec(block_mask=mask, radius=share * margin,
+                                   sample_order=1 + seed % 2, seed=seed)
+            digest.update(repr(monte_carlo_certify(nominal, spec, n, condition)).encode() + b";")
+    assert digest.hexdigest() == want
+
+
+def _without_last_taps(draw):
+    """A copy of draw with every entry's last tap set to zero."""
+    out = uncertainty._Draw(draw.row_blocks, draw.col_blocks)
+    wide = max(draw.shape)
+    out.lines = [line[:-wide] + [0] * wide for line in draw.lines]
+    out.p, out.q = draw.p, draw.q
+    return out
+
+
+@pytest.mark.parametrize("condition, mask", [
+    ("cor3", {("y", "u")}), ("cor7", FULL), ("cor7", {("x", "x")})],
+    ids=["cor3", "cor7", "cor7-one-block"])
+@pytest.mark.parametrize("share", [0.99, 2.0, 3.0])
+def test_taps_verdict_matches_robust_verdict(condition, mask, share):
+    # The check decides each sample from its integer rows; it must give
+    # robust_verdict's verdict on the sample's matrix, witnesses included.
+    nominal = scalar_of_maps() if condition == "cor7" else scalar_quad()
+    rows, cols, X = robust_condition(nominal, condition)
+    margin = sls_of_margin(nominal) if condition == "cor7" else iop_margin(nominal)
+    payload = (X, matrix._cleared(X.entries))
+    draws = [uncertainty._Draw(rows, cols)]  # sample 0
+    for seed in range(1, 46):
+        spec = UncertaintySpec(block_mask=mask, radius=share * margin,
+                               sample_order=seed % 3, seed=seed)
+        draw = uncertainty._sample_with_norm(spec, (rows, cols), seed)[0]
+        draws += [draw, _without_last_taps(draw)] if draw.lines else [draw]
+    statuses = set()
+    for draw in draws:
+        got = uncertainty._evaluate_sample(payload, draw)[0]
+        try:
+            want = robust_verdict(X, draw.matrix(), "I - Delta*X", "Delta")
+        except SingularPerturbedLoop:
+            want = StabilityVerdict("unstable", ((complex(math.inf, 0.0), math.inf),))
+        assert got == want
+        statuses.add(got.status)
+    assert statuses == ({"stable"} if share < 1 else {"stable", "unstable"})
+
+
+def test_below_margin_samples_build_no_matrix(monkeypatch):
+    # Below the margin the zero count proves every sample stable, so no
+    # check forms Delta's matrix or Psi, and a draw forms its matrix only
+    # for the peak bound's grid fallback (at scale 1).
+    true_evaluate, true_peak = uncertainty._evaluate_sample, uncertainty.hinf_peak
+    true_matrix = uncertainty._Draw.matrix
+    calls = {"matrix": 0, "grid": 0}
+
+    def forbidden(*args):
+        raise AssertionError("a check built a TransferMatrix")
+
+    def evaluate(payload, draw, hook=None):
+        with monkeypatch.context() as m:
+            m.setattr(uncertainty, "_fir_of", forbidden)
+            m.setattr(TransferMatrix, "__init__", forbidden)
+            return true_evaluate(payload, draw, hook)
+
+    def grid(X):
+        calls["grid"] += 1
+        return true_peak(X)
+
+    def matrix_of(draw):
+        calls["matrix"] += 1
+        assert (draw.p, draw.q) == (1, 1)
+        return true_matrix(draw)
+
+    monkeypatch.setattr(uncertainty, "_evaluate_sample", evaluate)
+    monkeypatch.setattr(uncertainty, "hinf_peak", grid)
+    monkeypatch.setattr(uncertainty._Draw, "matrix", matrix_of)
+    maps = scalar_of_maps()
+    spec = UncertaintySpec(block_mask=FULL, radius=0.99 * sls_of_margin(maps),
+                           sample_order=1, seed=0)
+    cert = monte_carlo_certify(maps, spec, 300, "cor7")
+    assert cert.sample_stats.n_stable == 300
+    assert calls["matrix"] == calls["grid"] > 0
+
+
 @pytest.mark.parametrize("condition", ["cor7", "cor3"])
 @pytest.mark.parametrize("share", [0.5, 1.0, 3.0])
 def test_check_matches_robust_loop_on_seeded_draws(condition, share):
@@ -369,7 +481,7 @@ def test_soundness_violation_stops_at_the_first_bad_sample(monkeypatch):
 
     def draw(spec, shape, seed):
         calls["draw"] += 1
-        return TransferMatrix.zeros(1, 1, *shape), margin / 2
+        return uncertainty._Draw(*shape), margin / 2
 
     def evaluate(payload, delta, hook=None):
         calls["evaluate"] += 1
@@ -450,7 +562,8 @@ def test_edge_peak_draws_skip_the_grid(monkeypatch):
         spec = UncertaintySpec(block_mask={("y", "u")}, radius=0.7, sample_order=1, seed=seed)
         assert uncertainty._sample_with_norm(spec, G_SHAPE, spec.seed)[1] > 0
     spec = UncertaintySpec(block_mask=COR7_MASK, radius=0.7, sample_order=1, seed=1)
-    delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
+    draw, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
+    delta = draw.matrix()
     monkeypatch.undo()
     peak, omega = hinf_peak(delta)
     assert min(omega, math.pi - omega) < 1e-6  # an edge-peak 2 x 2 draw
@@ -488,7 +601,8 @@ def test_wide_draws_are_bounded_tightly(rows, cols):
     # Three or more wide: the level set comes from the determinant.
     for seed in range(3):
         spec = UncertaintySpec(block_mask={("a", "b")}, radius=1.0, sample_order=1, seed=seed)
-        delta, norm = uncertainty._sample_with_norm(spec, _block_shape(rows, cols), spec.seed)
+        draw, norm = uncertainty._sample_with_norm(spec, _block_shape(rows, cols), spec.seed)
+        delta = draw.matrix()
         peak = hinf_peak(delta)[0]
         assert peak <= norm <= peak * (1 + 1e-9)
 
@@ -498,7 +612,8 @@ def test_a_poor_grid_value_falls_back_to_bisection(monkeypatch):
     monkeypatch.setattr(uncertainty, "hinf_peak", lambda X: (0.5 * true_peak(X)[0], 0.0))
     for seed in range(1, 30):
         spec = UncertaintySpec(block_mask=COR7_MASK, radius=1.0, sample_order=2, seed=seed)
-        delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
+        draw, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
+        delta = draw.matrix()
         peak = true_peak(delta)[0]
         assert peak <= norm <= peak * (1 + 1e-9)
 
@@ -520,7 +635,8 @@ def test_scaled_draws_are_pinned():
     for shape, mask, order in SAMPLED_SHAPES:
         for seed in range(50):
             spec = UncertaintySpec(block_mask=mask, radius=0.9, sample_order=order, seed=seed)
-            delta, norm = uncertainty._sample_with_norm(spec, shape, seed)
+            draw, norm = uncertainty._sample_with_norm(spec, shape, seed)
+            delta = draw.matrix()
             digest.update(repr(delta).encode() + norm.hex().encode() + b";")
     assert digest.hexdigest() == ("a7a87c9bf850fb5ab0c7b9a7756d1f9a"
                                   "ca1f8f1848e7db71f679ca122d1834d9")
@@ -566,10 +682,12 @@ def test_a_draw_of_zero_taps_is_the_zero_matrix(monkeypatch):
     def no_gram(lines, order):
         raise AssertionError("built a Gram matrix for a zero draw")
 
-    monkeypatch.setattr(uncertainty, "_fir_taps", lambda rng, order: [0] * (order + 1))
+    monkeypatch.setattr(uncertainty, "_fir_taps",
+                        lambda rng, order, count: [0] * (count * (order + 1)))
     monkeypatch.setattr(uncertainty, "_DrawGram", no_gram)
     spec = UncertaintySpec(block_mask=COR7_MASK, radius=1.0, sample_order=2, seed=3)
-    delta, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
+    draw, norm = uncertainty._sample_with_norm(spec, COR7_SHAPE, spec.seed)
+    delta = draw.matrix()
     assert delta == TransferMatrix.zeros(2, 2)
     assert (delta.row_blocks, delta.col_blocks) == COR7_SHAPE
     assert norm == 0.0
@@ -625,7 +743,8 @@ def test_draw_norms_bound_the_true_peak():
                 spec = UncertaintySpec(block_mask={("a", "b")}, radius=0.9,
                                        sample_order=order, seed=seed)
                 shape = _block_shape(rows, cols)
-                delta, norm = uncertainty._sample_with_norm(spec, shape, spec.seed)
+                draw, norm = uncertainty._sample_with_norm(spec, shape, spec.seed)
+                delta = draw.matrix()
                 peak, at_edge = _mp_peak(mpmath, delta)
                 kinds.add(at_edge)
                 assert mpmath.mpf(norm) >= peak, (rows, cols, order, seed)
