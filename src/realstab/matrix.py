@@ -22,10 +22,14 @@ The inverse reduces its n^2 entries over the one determinant d in one pass
 (_over_determinant): one integer gcd per entry finds its common factor
 with d, or proves there is none. On a 2-core Xeon VM (Python 3.11),
 I - M/4 with dense random proper entries of degree up to 2 (seeds 0-4,
-best of 5, two runs) inverts in 2-10 ms at 6 x 6, 8-26 ms at 7 x 7 and
-26-90 ms at 8 x 8. At 8 x 8 (seed 0) the elimination takes 38-39 ms of
-57-60 ms; reducing the 64 entries over the degree-58 determinant takes
-most of the rest.
+best of 5 on fresh copies, two runs) inverts in 4-11 ms at 6 x 6,
+12-36 ms at 7 x 7 and 40-100 ms at 8 x 8. At 8 x 8 (seed 0) the
+elimination takes 41 ms of 61 ms; reducing the 64 entries over the
+degree-58 determinant takes most of the rest.
+
+Each matrix clears its rows, and its columns as the right operand of a
+product, at most once (_lines). Internal results are built from their
+canonical entries without coercing them again (TransferMatrix._trusted).
 """
 
 from __future__ import annotations
@@ -81,6 +85,13 @@ def _check_blocks(blocks, total: int, axis: str) -> Blocks | None:
     return out
 
 
+def _partitions(rows: int, cols: int, row_blocks, col_blocks):
+    """The checked (row, col) partitions of a rows x cols matrix, with rows and cols positive."""
+    if rows <= 0 or cols <= 0:
+        raise DimensionMismatch("matrix dimensions must be positive")
+    return _check_blocks(row_blocks, rows, "row"), _check_blocks(col_blocks, cols, "col")
+
+
 def _block_span(blocks: Blocks, label: str) -> tuple[int, int]:
     start = 0
     for name, size in blocks:
@@ -98,7 +109,9 @@ def _cleared(line) -> tuple[list[list[int]], list[int]]:
 
     l is an integer times the lcm of the line's denominators. A canonical
     denominator is monic, so its numerators are primitive with a positive
-    leading term, and every division below is exact in Z[z].
+    leading term, and every division below is exact in Z[z]. A constant
+    denominator, one equal to the running lcm and a scalar factor of 1 take
+    no polynomial product.
     """
     den_lcm = _ONE
     s = 1
@@ -107,12 +120,15 @@ def _cleared(line) -> tuple[list[list[int]], list[int]]:
             continue
         s = lcm(s, e.num._d)
         den = e.den
-        if den.is_one or den == den_lcm:
+        if den is den_lcm or den.is_one:
             continue
-        g = poly_gcd(den_lcm, den)
-        grow = den._n if g.is_one else _int_exact_div(den._n, g._n)
-        grown = _int_mul(den_lcm._n, grow)
-        den_lcm = _raw(grown, grown[-1])
+        if den_lcm is _ONE:
+            den_lcm = den
+        elif den != den_lcm:
+            g = poly_gcd(den_lcm, den)
+            grow = den._n if g.is_one else _int_exact_div(den._n, g._n)
+            grown = _int_mul(den_lcm._n, grow)
+            den_lcm = _raw(grown, grown[-1])
     L = den_lcm._n
     P = []
     for e in line:
@@ -120,15 +136,14 @@ def _cleared(line) -> tuple[list[list[int]], list[int]]:
         if num.is_zero:
             P.append([0])
             continue
-        if den.is_one:
-            rest = L
-        elif den._n == L:
-            rest = [1]
-        else:
-            rest = _int_exact_div(L, den._n)
         # num / den = (n / d) / (dn / dd) = n dd / (d dn), times s L / (s L).
-        P.append(_int_mul(_int_mul([den._d * s // num._d], num._n), rest))
-    return P, _int_mul([s], L)
+        c = den._d * s // num._d
+        p = num._n if c == 1 else [c * x for x in num._n]
+        if den._n == L:
+            P.append(p)
+        else:
+            P.append(_int_mul(p, L if den.is_one else _int_exact_div(L, den._n)))
+    return P, L if s == 1 else [s * x for x in L]
 
 
 def _norm(p: list[int]) -> int:
@@ -141,10 +156,22 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
+def _lines(M: TransferMatrix, axis: int) -> list[tuple[list[list[int]], list[int]]]:
+    """M's rows (axis 0) or columns (axis 1) cleared to (P, l), found once and
+    memoized on M. with_blocks shares the memo; callers never mutate it."""
+    memo = M._memo
+    if memo is None:
+        memo = M._memo = [None, None]
+    if memo[axis] is None:
+        memo[axis] = ([_cleared(M.row(i)) for i in range(M.rows)] if axis == 0 else
+                      [_cleared(M.entries[j::M.cols]) for j in range(M.cols)])
+    return memo[axis]
+
+
 def _packed_rows(M: TransferMatrix, extra: int):
     """The rows of M cleared to (P_i, l_i), as (packed P_i, l_i, k), with k
     for their minors, each row's l1 norm raised by extra (1 for [P | I])."""
-    cleared = [_cleared(M.row(i)) for i in range(M.rows)]
+    cleared = _lines(M, 0)
     k = _width(prod(max(1, extra + sum(map(_norm, P))) for P, _ in cleared))
     return [[_pack(p, k) for p in P] for P, _ in cleared], [l for _, l in cleared], k
 
@@ -248,23 +275,28 @@ def _over_determinant(nums: list[list[int]], d: list[int]) -> list[RationalFunct
 class TransferMatrix:
     """Dense matrix of canonical rational functions with optional partitions."""
 
-    __slots__ = ("rows", "cols", "entries", "row_blocks", "col_blocks")
+    # _memo holds what _lines has found; it is not part of the value.
+    __slots__ = ("rows", "cols", "entries", "row_blocks", "col_blocks", "_memo")
 
     def __init__(self, rows, cols, entries, row_blocks=None, col_blocks=None):
         rows = int(rows)
         cols = int(cols)
-        if rows <= 0 or cols <= 0:
-            raise DimensionMismatch("matrix dimensions must be positive")
+        blocks = _partitions(rows, cols, row_blocks, col_blocks)
         ents = tuple(_as_entry(e) for e in entries)
         if len(ents) != rows * cols:
             raise DimensionMismatch(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(ents)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self.entries = ents
-        self.row_blocks = _check_blocks(row_blocks, rows, "row")
-        self.col_blocks = _check_blocks(col_blocks, cols, "col")
+        self.rows, self.cols, self.entries = rows, cols, ents
+        self.row_blocks, self.col_blocks, self._memo = *blocks, None
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries, row_blocks=None, col_blocks=None, memo=None):
+        # Trusted constructor: rows * cols RationalFunction entries, checked partitions.
+        obj = object.__new__(cls)
+        obj.rows, obj.cols, obj.entries = rows, cols, tuple(entries)
+        obj.row_blocks, obj.col_blocks, obj._memo = row_blocks, col_blocks, memo
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -281,12 +313,14 @@ class TransferMatrix:
 
     @classmethod
     def identity(cls, n, row_blocks=None, col_blocks=None) -> "TransferMatrix":
+        blocks = _partitions(n, n, row_blocks, col_blocks)
         ents = [_ONE_ENTRY if i == j else _ZERO_ENTRY for i in range(n) for j in range(n)]
-        return cls(n, n, ents, row_blocks, col_blocks)
+        return cls._trusted(n, n, ents, *blocks)
 
     @classmethod
     def zeros(cls, rows, cols, row_blocks=None, col_blocks=None) -> "TransferMatrix":
-        return cls(rows, cols, [_ZERO_ENTRY] * (rows * cols), row_blocks, col_blocks)
+        blocks = _partitions(rows, cols, row_blocks, col_blocks)
+        return cls._trusted(rows, cols, [_ZERO_ENTRY] * (rows * cols), *blocks)
 
     @classmethod
     def constant(cls, grid) -> "TransferMatrix":
@@ -325,8 +359,9 @@ class TransferMatrix:
     def submatrix(self, row_range, col_range) -> "TransferMatrix":
         r0, r1 = row_range
         c0, c1 = col_range
+        _partitions(r1 - r0, c1 - c0, None, None)
         ents = [self[i, j] for i in range(r0, r1) for j in range(c0, c1)]
-        return TransferMatrix(r1 - r0, c1 - c0, ents)
+        return TransferMatrix._trusted(r1 - r0, c1 - c0, ents)
 
     def block(self, row_label: str, col_label: str) -> "TransferMatrix":
         if self.row_blocks is None or self.col_blocks is None:
@@ -335,7 +370,8 @@ class TransferMatrix:
                               _block_span(self.col_blocks, col_label))
 
     def with_blocks(self, row_blocks, col_blocks) -> "TransferMatrix":
-        return TransferMatrix(self.rows, self.cols, self.entries, row_blocks, col_blocks)
+        blocks = _partitions(self.rows, self.cols, row_blocks, col_blocks)
+        return TransferMatrix._trusted(self.rows, self.cols, self.entries, *blocks, self._memo)
 
     # -- algebra -----------------------------------------------------------
 
@@ -357,9 +393,9 @@ class TransferMatrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
         ents = [a + b for a, b in zip(self.entries, other.entries)]
-        return TransferMatrix(self.rows, self.cols, ents,
-                              self.row_blocks or other.row_blocks,
-                              self.col_blocks or other.col_blocks)
+        return TransferMatrix._trusted(self.rows, self.cols, ents,
+                                       self.row_blocks or other.row_blocks,
+                                       self.col_blocks or other.col_blocks)
 
     def __sub__(self, other) -> "TransferMatrix":
         if not isinstance(other, TransferMatrix):
@@ -367,13 +403,13 @@ class TransferMatrix:
         return self + (-other)
 
     def __neg__(self) -> "TransferMatrix":
-        return TransferMatrix(self.rows, self.cols, [-e for e in self.entries],
-                              self.row_blocks, self.col_blocks)
+        return TransferMatrix._trusted(self.rows, self.cols, [-e for e in self.entries],
+                                       self.row_blocks, self.col_blocks)
 
     def scale(self, factor) -> "TransferMatrix":
         f = _as_entry(factor)
-        return TransferMatrix(self.rows, self.cols, [f * e for e in self.entries],
-                              self.row_blocks, self.col_blocks)
+        return TransferMatrix._trusted(self.rows, self.cols, [f * e for e in self.entries],
+                                       self.row_blocks, self.col_blocks)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
@@ -387,7 +423,8 @@ class TransferMatrix:
         out = [RationalFunction(_canon(_unpack(sum(map(mul, P, Q)), k), 1),
                                 _canon(_unpack(l * m, k), 1))
                for P, l in rows for Q, m in cols]
-        return TransferMatrix(self.rows, other.cols, out, self.row_blocks, other.col_blocks)
+        return TransferMatrix._trusted(self.rows, other.cols, out,
+                                       self.row_blocks, other.col_blocks)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Polynomial, RationalFunction)):
@@ -396,7 +433,8 @@ class TransferMatrix:
 
     def transpose(self) -> "TransferMatrix":
         ents = [self[j, i] for i in range(self.cols) for j in range(self.rows)]
-        return TransferMatrix(self.cols, self.rows, ents, self.col_blocks, self.row_blocks)
+        return TransferMatrix._trusted(self.cols, self.rows, ents,
+                                       self.col_blocks, self.row_blocks)
 
     def inverse(self) -> "TransferMatrix":
         """Exact inverse by fraction-free Gauss-Jordan elimination.
@@ -414,7 +452,7 @@ class TransferMatrix:
             raise SingularMatrix("matrix is singular as a rational matrix")
         ents = _over_determinant([_int_mul(_unpack(work[i][n + j], k), scales[j])
                                   for i in range(n) for j in range(n)], _unpack(d, k))
-        return TransferMatrix(n, n, ents, self.col_blocks, self.row_blocks)
+        return TransferMatrix._trusted(n, n, ents, self.col_blocks, self.row_blocks)
 
     def determinant(self) -> RationalFunction:
         """Exact determinant, det P / prod(l_i), from the forward elimination."""
@@ -436,8 +474,8 @@ def _packed_lines(X: TransferMatrix, Y: TransferMatrix):
     packed, and their width k. In l1 norms, delta_ij l_i m_j - P_i . Q_j is
     at most |l_i| |m_j| + sum_k |P_ik| |Q_kj|, so at most
     (|l_i| + sum_k |P_ik|) (|m_j| + max_k |Q_kj|), which k holds."""
-    rows = [_cleared(X.row(i)) for i in range(X.rows)]
-    cols = [_cleared(Y.entries[j::Y.cols]) for j in range(Y.cols)]
+    rows = _lines(X, 0)
+    cols = _lines(Y, 1)
     k = _width(max(_norm(l) + sum(map(_norm, P)) for P, l in rows)
                * max(_norm(m) + max(map(_norm, Q)) for Q, m in cols))
     return ([([_pack(p, k) for p in P], _pack(l, k)) for P, l in rows],
@@ -465,7 +503,7 @@ def _cleared_loop(D: TransferMatrix, X: TransferMatrix):
     X cleared over one denominator, Q its entries in row-major order."""
     if D.cols != X.rows or X.cols != D.rows:
         raise DimensionMismatch(f"{D.shape} and {X.shape} do not close a loop")
-    return [_cleared(D.row(i)) for i in range(D.rows)], _cleared(X.entries)
+    return _lines(D, 0), _cleared(X.entries)
 
 
 def _loop_rows(rows, cleared_X):
@@ -508,6 +546,8 @@ def _loop_numerator(rows, cleared_X) -> tuple[list[int], int]:
 
 
 def hstack(blocks: list[TransferMatrix]) -> TransferMatrix:
+    if not blocks:
+        raise DimensionMismatch("hstack needs at least one block, got an empty list")
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise DimensionMismatch("hstack row mismatch")
@@ -515,17 +555,19 @@ def hstack(blocks: list[TransferMatrix]) -> TransferMatrix:
     for i in range(rows):
         for b in blocks:
             ents.extend(b.row(i))
-    return TransferMatrix(rows, sum(b.cols for b in blocks), ents)
+    return TransferMatrix._trusted(rows, sum(b.cols for b in blocks), ents)
 
 
 def vstack(blocks: list[TransferMatrix]) -> TransferMatrix:
+    if not blocks:
+        raise DimensionMismatch("vstack needs at least one block, got an empty list")
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise DimensionMismatch("vstack column mismatch")
     ents = []
     for b in blocks:
         ents.extend(b.entries)
-    return TransferMatrix(sum(b.rows for b in blocks), cols, ents)
+    return TransferMatrix._trusted(sum(b.rows for b in blocks), cols, ents)
 
 
 def block_matrix(grid, row_blocks=None, col_blocks=None) -> TransferMatrix:
@@ -576,7 +618,7 @@ class StateSpace:
         n = self.n
         ents = [RationalFunction(z - e.num) if k % (n + 1) == 0 else -e
                 for k, e in enumerate(self.A.entries)]
-        return TransferMatrix(n, n, ents)
+        return TransferMatrix._trusted(n, n, ents)
 
     def resolvent(self) -> TransferMatrix:
         """(zI - A)^-1, exact."""

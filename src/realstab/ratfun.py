@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ZeroDenominator
-from .poly import _ONE, _ZERO, Polynomial, exquo, monic_pair, poly_gcd
+from .poly import _ONE, _ZERO, Polynomial, _raw, exquo, monic_pair, poly_gcd
 
 
 def _as_poly(value) -> Polynomial:
@@ -27,6 +27,10 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=_ONE):
+        if den is _ONE and type(num) in (int, Fraction):  # not bool, nor other subclasses
+            self.num = _raw([num.numerator], num.denominator) if num else _ZERO
+            self.den = _ONE
+            return
         num = _as_poly(num)
         den = _as_poly(den)
         if den.is_zero:

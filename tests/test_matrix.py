@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from realstab import matrix
 from realstab.errors import DimensionMismatch, SingularMatrix
-from realstab.matrix import (StateSpace, TransferMatrix, block_matrix, hstack, product_is_identity,
-                             vstack)
+from realstab.matrix import (StateSpace, TransferMatrix, block_matrix, hstack, loop_determinant,
+                             product_is_identity, vstack)
 from realstab.ratfun import RationalFunction
 
 from conftest import HALF, Z, random_proper_tm, rf
@@ -177,3 +178,53 @@ def test_pickle_round_trip(rng):
     back = pickle.loads(pickle.dumps(X))
     assert back.row_blocks == X.row_blocks and back.col_blocks == X.col_blocks
     assert back * back.transpose() == X * X.transpose()
+    # With its memo of cleared rows and columns filled, a matrix pickles to the same value.
+    M = random_proper_tm(rng, 3, 3) + TransferMatrix.identity(3)
+    product = M * M
+    inverse = M.inverse()
+    back = pickle.loads(pickle.dumps(M))
+    assert back == M and hash(back) == hash(M)
+    assert back.inverse() == inverse and back * back == product
+
+
+def test_empty_block_lists_raise():
+    for build in (lambda: block_matrix([]), lambda: block_matrix([[]]),
+                  lambda: hstack([]), lambda: vstack([])):
+        with pytest.raises(DimensionMismatch, match="empty list"):
+            build()
+
+
+def _fresh(M):
+    return TransferMatrix(M.rows, M.cols, M.entries)
+
+
+def test_repeated_operations_match_fresh_copies(rng):
+    # Each operation reads the operands' memo of cleared lines; a consumer
+    # that mutated those lists would change the second result.
+    X = random_proper_tm(rng, 3, 3) + TransferMatrix.identity(3)
+    integers = TransferMatrix.from_rows([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+    for A, B in ((X, integers), (integers, X), (X, X),
+                 (TransferMatrix(1, 1, [rf(Z)]), TransferMatrix(1, 1, [rf(1, Z - HALF)]))):
+        inverse = _fresh(A).inverse()
+        for _ in range(2):
+            assert A.inverse() == inverse
+            assert A.determinant() == _fresh(A).determinant()
+            assert A * B == _fresh(A) * _fresh(B)
+            assert product_is_identity(A, inverse) and product_is_identity(inverse, A)
+            assert not product_is_identity(A, B + TransferMatrix.identity(B.rows))
+            assert loop_determinant(A, B) == loop_determinant(_fresh(A), _fresh(B))
+            assert A == _fresh(A) and hash(A) == hash(_fresh(A))
+
+
+def test_with_blocks_shares_the_cleared_lines(monkeypatch, rng):
+    X = random_proper_tm(rng, 2, 3)
+    right = X.transpose()
+    product = X * right  # clears the rows of X and the columns of right
+    calls = []
+    cleared = matrix._cleared
+    monkeypatch.setattr(matrix, "_cleared", lambda line: calls.append(1) or cleared(line))
+    Y = X.with_blocks((("a", 1), ("b", 1)), (("c", 3),))
+    assert Y == X and Y * right == product and product_is_identity(Y, right) is False
+    assert calls == []
+    with pytest.raises(DimensionMismatch):
+        X.with_blocks((("a", 1),), None)

@@ -242,8 +242,27 @@ def test_resolvent_matches_sympy(A):
     assert all(to_k(res[i, j]) == expected[i][j] for i in range(n) for j in range(n))
 
 
+# Rows that take _cleared's shortcuts: entries sharing one denominator object
+# (as a column of an inverse does), a copy of the running lcm, constant
+# denominators over non-unit coefficient denominators, and zero entries.
+SHARED = Polynomial((Fraction(-1, 2), Fraction(1, 3), 1))
+COPY = Polynomial((Fraction(-1, 2), Fraction(1, 3), 1))
+SHARES_A_FACTOR = (Z + 1) * SHARED
+
+
 @SETTINGS
 @given(st.lists(ratfuns, min_size=1, max_size=6))
+@example([RationalFunction._reduced(Polynomial((3,)), SHARED),
+          RationalFunction(0),
+          RationalFunction._reduced(Polynomial((1, Fraction(2, 7))), SHARED),
+          RationalFunction._reduced(Polynomial((Fraction(5, 2 ** 40),)), SHARED)])
+@example([RationalFunction(Fraction(3, 2 ** 40)), RationalFunction(0),
+          RationalFunction(Polynomial((Fraction(1, 3), Fraction(2, 7)))),
+          RationalFunction(-1)])
+@example([RationalFunction(0), RationalFunction(0)])
+@example([RationalFunction(1, SHARED), RationalFunction(Fraction(1, 2), COPY),
+          RationalFunction(Z, SHARES_A_FACTOR), RationalFunction(Fraction(2, 3) * Z * Z),
+          RationalFunction._reduced(Polynomial((7,)), SHARED)])
 def test_row_clearing_round_trip(row):
     P, l = _cleared(row)
     assert len(P) == len(row)

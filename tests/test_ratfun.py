@@ -110,6 +110,23 @@ def test_constant_helpers():
         RationalFunction(1, Z).constant_value()
 
 
+
+@pytest.mark.parametrize("c", [0, 1, -1, 7, -2 ** 70, Fraction(0), Fraction(-3, 4),
+                               Fraction(5, 2 ** 40), Fraction(-(2 ** 70), 3)])
+def test_constants_are_built_as_their_polynomials(c):
+    f = RationalFunction(c)
+    g = RationalFunction(Polynomial((c,)))
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert (f.num._n, f.num._d, f.den._n, f.den._d) == (g.num._n, g.num._d, g.den._n, g.den._d)
+    assert f.constant_value() == c and f.is_zero == (c == 0)
+
+
+def test_boolean_constants_keep_their_values():
+    for b in (True, False):
+        f = RationalFunction(b)
+        assert f == RationalFunction(int(b)) and f.num._n == [int(b)] and f.den.is_one
+        assert type(f.num._n[0]) is int and f.constant_value() == b
+
 def test_numeric_evaluation():
     f = RationalFunction(Z, 2 * Z - 1)
     assert abs(f(1.0) - 1.0) < 1e-15
