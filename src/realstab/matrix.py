@@ -116,9 +116,10 @@ def _cleared(line) -> tuple[list[list[int]], list[int]]:
     den_lcm = _ONE
     s = 1
     for e in line:
-        if e.num.is_zero:
+        num = e.num
+        if not num._n[-1]:  # is_zero, without the property call
             continue
-        s = lcm(s, e.num._d)
+        s = lcm(s, num._d)
         den = e.den
         if den is den_lcm or den.is_one:
             continue
@@ -133,13 +134,13 @@ def _cleared(line) -> tuple[list[list[int]], list[int]]:
     P = []
     for e in line:
         num, den = e.num, e.den
-        if num.is_zero:
+        if not num._n[-1]:
             P.append([0])
             continue
         # num / den = (n / d) / (dn / dd) = n dd / (d dn), times s L / (s L).
         c = den._d * s // num._d
         p = num._n if c == 1 else [c * x for x in num._n]
-        if den._n == L:
+        if den._n is L or den._n == L:
             P.append(p)
         else:
             P.append(_int_mul(p, L if den.is_one else _int_exact_div(L, den._n)))
