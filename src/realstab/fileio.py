@@ -64,10 +64,6 @@ def parse_rational(obj) -> Fraction:
     raise SchemaError(f"expected int or 'p/q' string, got {type(obj).__name__}")
 
 
-def rational_to_json(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_ratfun(obj) -> RationalFunction:
     if isinstance(obj, (int, str)):
         return RationalFunction(parse_rational(obj))
@@ -82,11 +78,23 @@ def parse_ratfun(obj) -> RationalFunction:
     raise SchemaError(f"cannot parse a rational function from {type(obj).__name__}")
 
 
+def _coefficient_texts(p: Polynomial) -> list[str]:
+    """str(Fraction(c, d)) for each coefficient c / d of p, from its integer
+    form, without building the Fractions."""
+    d = p._d
+    if d == 1:
+        return [str(c) for c in p._n]
+    out = []
+    for c in p._n:
+        g = math.gcd(c, d)
+        out.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+    return out
+
+
 def ratfun_to_json(rf: RationalFunction):
     if rf.is_constant:
-        return rational_to_json(rf.num.coeffs[0])
-    return {"num": [rational_to_json(c) for c in rf.num.coeffs],
-            "den": [rational_to_json(c) for c in rf.den.coeffs]}
+        return _coefficient_texts(rf.num)[0]
+    return {"num": _coefficient_texts(rf.num), "den": _coefficient_texts(rf.den)}
 
 
 def _pairs(obj, what: str) -> list:
@@ -161,8 +169,8 @@ def parse_fm(obj) -> TransferMatrix:
 
 
 def fm_to_json(x) -> list:
-    x = TransferMatrix.constant(x)
-    return [[rational_to_json(e.constant_value()) for e in x.row(i)] for i in range(x.rows)]
+    x = TransferMatrix.constant(x)  # each entry c / 1, so its text is c's
+    return [[_coefficient_texts(e.num)[0] for e in x.row(i)] for i in range(x.rows)]
 
 
 def parse_statespace(obj) -> StateSpace:

@@ -18,7 +18,9 @@ and equality tests are exact too: in an elimination every such value is
 a minor of the input, and a minor's l1 norm is at most the product of
 its rows' (expand it over permutations).
 
-The inverse reduces its n^2 entries over the one determinant d in one pass
+The inverse eliminates [P | diag(l)], the rows cleared to M = diag(l)^-1 P,
+to [d I | d P^-1 diag(l)]: the right half is the numerators N of
+M^-1 = N / d. It reduces the n^2 entries over the one d in one pass
 (_over_determinant): one integer gcd per entry finds its common factor
 with d, or proves there is none. On a 2-core Xeon VM (Python 3.11),
 I - M/4 with dense random proper entries of degree up to 2 (seeds 0-4,
@@ -28,8 +30,10 @@ elimination takes 41 ms of 61 ms; reducing the 64 entries over the
 degree-58 determinant takes most of the rest.
 
 Each matrix clears its rows, and its columns as the right operand of a
-product, at most once (_lines). Internal results are built from their
-canonical entries without coercing them again (TransferMatrix._trusted).
+product, at most once (_lines). An inverse arrives with its columns
+already memoized as (N's column, d), so no product clears them. Internal
+results are built from their canonical entries without coercing them
+again (TransferMatrix._trusted).
 """
 
 from __future__ import annotations
@@ -158,8 +162,12 @@ def _width(bound: int) -> int:
 
 
 def _lines(M: TransferMatrix, axis: int) -> list[tuple[list[list[int]], list[int]]]:
-    """M's rows (axis 0) or columns (axis 1) cleared to (P, l), found once and
-    memoized on M. with_blocks shares the memo; callers never mutate it."""
+    """M's rows (axis 0) or columns (axis 1) as (P, l) with M's line k equal
+    to P[k] / l, found once and memoized on M. A row keeps _cleared's
+    contract: l is an integer times the lcm of the row's denominators. A
+    column may be any exact (Q, m); inverse fills S's columns over the
+    uncancelled determinant. with_blocks shares the memo; callers never
+    mutate it."""
     memo = M._memo
     if memo is None:
         memo = M._memo = [None, None]
@@ -169,11 +177,11 @@ def _lines(M: TransferMatrix, axis: int) -> list[tuple[list[list[int]], list[int
     return memo[axis]
 
 
-def _packed_rows(M: TransferMatrix, extra: int):
+def _packed_rows(M: TransferMatrix):
     """The rows of M cleared to (P_i, l_i), as (packed P_i, l_i, k), with k
-    for their minors, each row's l1 norm raised by extra (1 for [P | I])."""
+    for their minors."""
     cleared = _lines(M, 0)
-    k = _width(prod(max(1, extra + sum(map(_norm, P))) for P, _ in cleared))
+    k = _width(prod(max(1, sum(map(_norm, P))) for P, _ in cleared))
     return [[_pack(p, k) for p in P] for P, _ in cleared], [l for _, l in cleared], k
 
 
@@ -441,25 +449,30 @@ class TransferMatrix:
         """Exact inverse by fraction-free Gauss-Jordan elimination.
 
         With M = diag(l)^-1 P (rows cleared), M^-1 = P^-1 diag(l), and the
-        elimination of [P | I] ends at [d I | d P^-1] with d = +-det P.
+        elimination of [P | diag(l)] ends at [d I | d P^-1 diag(l)] with
+        d = +-det P: its right half is the numerators N of M^-1 = N / d. The
+        result's column memo holds column j as (N[j::n], d), uncancelled.
         """
         if not self.is_square:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
-        rows, scales, k = _packed_rows(self, 1)
-        work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        cleared = _lines(self, 0)
+        k = _width(prod(_norm(l) + sum(map(_norm, P)) for P, l in cleared))
+        work = [[_pack(p, k) for p in P] + [_pack(l, k) if i == j else 0 for j in range(n)]
+                for i, (P, l) in enumerate(cleared)]
         d = _bareiss(work, n, jordan=True)[0]
         if d is None:
             raise SingularMatrix("matrix is singular as a rational matrix")
-        ents = _over_determinant([_int_mul(_unpack(work[i][n + j], k), scales[j])
-                                  for i in range(n) for j in range(n)], _unpack(d, k))
-        return TransferMatrix._trusted(n, n, ents, self.col_blocks, self.row_blocks)
+        N = [_unpack(v, k) for row in work for v in row[n:]]
+        d = _unpack(d, k)
+        return TransferMatrix._trusted(n, n, _over_determinant(N, d), self.col_blocks,
+                                       self.row_blocks, [None, [(N[j::n], d) for j in range(n)]])
 
     def determinant(self) -> RationalFunction:
         """Exact determinant, det P / prod(l_i), from the forward elimination."""
         if not self.is_square:
             raise DimensionMismatch("determinant needs a square matrix")
-        return _determinant(*_packed_rows(self, 0))
+        return _determinant(*_packed_rows(self))
 
     def evaluate(self, point: complex) -> np.ndarray:
         """Numeric value at a complex point, as a complex numpy array."""

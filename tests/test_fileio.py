@@ -15,6 +15,7 @@ from realstab.fileio import (
     doc_sls_of,
     doc_youla,
     dumps_canonical,
+    fm_to_json,
     load_perturbation,
     load_report,
     load_system,
@@ -34,6 +35,7 @@ from realstab.fileio import (
 from realstab.iop import iop_from_loop, iop_verify
 from realstab.matrix import StateSpace, TransferMatrix
 from realstab.poly import Polynomial
+from realstab.ratfun import RationalFunction
 from realstab.sls import sls_of_from_controller, sls_of_verify
 from realstab.uncertainty import Certificate, SampleStats
 from realstab.youla import coprime_from_gains
@@ -50,6 +52,28 @@ def test_parse_rational_forms():
         parse_rational(True)
     with pytest.raises(SchemaError):
         parse_rational(0.5)
+
+
+COEFFICIENT_CASES = [
+    (0,), (5,), (-7,), (Fraction(-3, 4),),
+    # Over one polynomial denominator 6, 3/6 and -5/6 are not reduced alone.
+    (Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6), 2),
+    (0, Fraction(-2, 9), Fraction(4, 3), -1),
+    (Fraction(10 ** 30, 7), Fraction(-1, 14), 3),
+]
+
+
+@pytest.mark.parametrize("coeffs", COEFFICIENT_CASES)
+def test_coefficients_are_written_as_fractions(coeffs):
+    # Each coefficient's text is str(Fraction(n, d)), written from the
+    # polynomial's integer form: 0, negative, d = 1 and a reduced n / d.
+    f = RationalFunction(Polynomial(coeffs + (1,)), Polynomial((Fraction(-2, 3), 0, 5)))
+    assert ratfun_to_json(f) == {"num": [str(c) for c in f.num.coeffs],
+                                 "den": [str(c) for c in f.den.coeffs]}
+    assert [ratfun_to_json(RationalFunction(c)) for c in coeffs] == \
+        [str(Fraction(c)) for c in coeffs]
+    constant = TransferMatrix.constant([list(coeffs)])
+    assert fm_to_json(constant) == [[str(Fraction(c)) for c in coeffs]]
 
 
 def test_ratfun_round_trip(rng):

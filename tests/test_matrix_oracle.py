@@ -9,6 +9,7 @@ sampler produces and improper entries like those of zI - A. Both tools
 are test-only; the module is skipped when either is missing.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -310,7 +311,7 @@ def test_minors_reach_the_packing_bound():
     assert_inverse_matches(DIAGONAL)
     # det(DENSE) = (BIG z)^3 + 3 BIG z. Its lead BIG^3 has the bit length of
     # the bounds (BIG + 2)^3 of the determinant and (BIG + 3)^3 of the
-    # inverse (the identity block adds 1 to each row norm); that of
+    # inverse (the diag(l) block adds |l_i| = 1 to each row norm); that of
     # loop_determinant(I - DENSE, I) is (BIG + 4)^3.
     assert DENSE.determinant() == RationalFunction(BIG ** 3 * Z * Z * Z + 3 * BIG * Z)
     assert all((BIG ** 3).bit_length() == ((BIG + e) ** 3).bit_length() for e in (2, 3, 4))
@@ -385,6 +386,30 @@ def test_rectangular_product_is_identity_matches_sympy(M, r, c, index, bump):
         shifted = M.submatrix((1, n), (0, n))
         assert not product_is_identity(shifted, inv)
         assert oracle(shifted) * oracle(inv) != DomainMatrix.eye((n - 1, n), QZ).to_dense()
+
+
+@SETTINGS
+@given(matrices(max_n=3), st.integers(1, 3), st.data())
+def test_inverse_hands_back_exact_columns(M, r, data):
+    # The inverse memoizes S's columns as (Q, m) over the uncancelled
+    # determinant. Each must be exact, a product must not tell them from
+    # columns cleared afresh, and no reader may change the memo's lists
+    # (S's entries can share them).
+    try:
+        inv = M.inverse()
+    except SingularMatrix:
+        return
+    assert inv._memo[0] is None
+    columns = copy.deepcopy(inv._memo[1])
+    n = M.rows
+    assert len(columns) == n
+    for j, (Q, m) in enumerate(inv._memo[1]):
+        assert [RationalFunction(Polynomial(q), Polynomial(m)) for q in Q] == \
+            [inv[i, j] for i in range(n)]
+    X = TransferMatrix(r, n, data.draw(st.lists(ratfuns, min_size=r * n, max_size=r * n)))
+    assert X * inv == X * TransferMatrix(n, n, inv.entries)
+    assert product_is_identity(M, inv) and product_is_identity(inv, M)
+    assert inv._memo[1] == columns
 
 
 @st.composite
