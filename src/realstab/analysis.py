@@ -102,8 +102,9 @@ def roots_of(poly_like) -> list[complex]:
         return []
     if poly_like.is_monomial:
         return [0j] * poly_like.degree  # c*z^k, exact
-    roots = np.roots(poly_like.float_coeffs_desc())
-    return sorted((complex(r) for r in roots), key=lambda c: (c.real, c.imag))
+    # complex first: np.roots of a degree-1 polynomial is a real array.
+    roots = np.roots(poly_like.float_coeffs_desc()).astype(complex)
+    return np.sort(roots, kind="stable").tolist()  # by real part, then imaginary
 
 
 def poles(f: RationalFunction) -> list[complex]:
@@ -136,18 +137,23 @@ def stability_verdict(Xm) -> StabilityVerdict:
             groups[e.den] = [e, 1]
         else:
             group[1] += 1
-    # Each pole is a witness once per entry over its denominator.
-    witnesses = []
+    # Each pole is a witness once per entry over its denominator. Sorting
+    # the distinct ones and then repeating each gives the order a stable
+    # sort of the repeated list would.
+    distinct = []
     unstable = False
     for e, count in groups.values():
         for p in poles(e):
             modulus = abs(p)
             if modulus >= 1 - STABILITY_TOL:
-                witnesses += [(p, modulus)] * count
+                distinct.append((p, modulus, count))
                 unstable = unstable or modulus > 1 + STABILITY_TOL
-    if not witnesses:
+    if not distinct:
         return STABLE_VERDICT
-    witnesses.sort(key=lambda w: (-w[1], w[0].real, w[0].imag))
+    distinct.sort(key=lambda w: (-w[1], w[0].real, w[0].imag))
+    witnesses = []
+    for p, modulus, count in distinct:
+        witnesses += [(p, modulus)] * count
     return StabilityVerdict(UNSTABLE if unstable else MARGINAL, tuple(witnesses))
 
 

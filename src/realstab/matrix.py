@@ -20,20 +20,29 @@ its rows' (expand it over permutations).
 
 The inverse eliminates [P | diag(l)], the rows cleared to M = diag(l)^-1 P,
 to [d I | d P^-1 diag(l)]: the right half is the numerators N of
-M^-1 = N / d. It reduces the n^2 entries over the one d in one pass
+M^-1 = N / d. Each value is packed once: the rows at a width that holds
+every minor and also the bound of the product M M^-1. It reduces the n^2
+entries over the one d in one pass from the eliminated values
 (_over_determinant): one integer gcd per entry finds its common factor
-with d, or proves there is none. On a 2-core Xeon VM (Python 3.11),
-I - M/4 with dense random proper entries of degree up to 2 (seeds 0-4,
-best of 5 on fresh copies, two runs) inverts in 4-11 ms at 6 x 6,
-12-36 ms at 7 x 7 and 40-100 ms at 8 x 8. At 8 x 8 (seed 0) the
-elimination takes 41 ms of 61 ms; reducing the 64 entries over the
-degree-58 determinant takes most of the rest.
+with d, or proves there is none; an entry that shares a factor is
+divided at 2^k, and its numerator is unpacked only when that quotient
+cannot be proved exact. On a 2-core Xeon VM (Python 3.11), I - M/4 with
+dense random proper entries of degree up to 2 (seeds 0-4, best of 5 on
+fresh copies, two runs) inverts in 2-8 ms at 6 x 6, 8-25 ms at 7 x 7 and
+27-79 ms at 8 x 8. At 8 x 8 (seed 0) the elimination takes 38 ms of 50 ms;
+reducing the 64 entries over the degree-58 determinant takes most of the
+rest. The width's spare bits for M M^-1 (16-24% of it at these sizes)
+make such an inverse about 1.3x slower than one packed for its minors
+alone.
 
 Each matrix clears its rows, and its columns as the right operand of a
-product, at most once (_lines). An inverse arrives with its columns
-already memoized as (N's column, d), so no product clears them. Internal
-results are built from their canonical entries without coercing them
-again (TransferMatrix._trusted).
+product, at most once (_lines). An inverse leaves its packed rows on M
+and hands its result the packed columns (N_j(2^k), d(2^k)). A product
+reuses such packed rows and columns when they share one width that holds
+the product of their bounds, so the identity product of M and M^-1 packs
+and clears nothing; any other product with M^-1 on the right unpacks its
+columns once. Internal results are built from their canonical entries
+without coercing them again (TransferMatrix._trusted).
 """
 
 from __future__ import annotations
@@ -165,15 +174,32 @@ def _lines(M: TransferMatrix, axis: int) -> list[tuple[list[list[int]], list[int
     """M's rows (axis 0) or columns (axis 1) as (P, l) with M's line k equal
     to P[k] / l, found once and memoized on M. A row keeps _cleared's
     contract: l is an integer times the lcm of the row's denominators. A
-    column may be any exact (Q, m); inverse fills S's columns over the
-    uncancelled determinant. with_blocks shares the memo; callers never
-    mutate it."""
+    column may be any exact (Q, m): an inverse's columns are its packed
+    hand-off unpacked, over the uncancelled determinant, each numerator
+    unpacked at most once. with_blocks shares the memo; callers never
+    mutate it.
+
+    The memo is [rows, columns, packed rows, packed columns]. The packed
+    slots are hand-offs of the inverse (_packed_lines reads them): the rows
+    of the inverted matrix as (lines, k, bound) and the columns of its
+    inverse as (lines, k, bound, numerators, d), lines packed as
+    _packed_lines packs them and bound an l1 bound on each line as there;
+    numerators lists the numerators _over_determinant unpacked (row-major,
+    None where it did not) and d the unpacked determinant.
+    """
     memo = M._memo
     if memo is None:
-        memo = M._memo = [None, None]
+        memo = M._memo = [None, None, None, None]
     if memo[axis] is None:
-        memo[axis] = ([_cleared(M.row(i)) for i in range(M.rows)] if axis == 0 else
-                      [_cleared(M.entries[j::M.cols]) for j in range(M.cols)])
+        if axis == 0:
+            memo[0] = [_cleared(M.row(i)) for i in range(M.rows)]
+        elif memo[3] is not None:
+            cols, k, _, nums, d = memo[3]
+            n = M.cols
+            memo[1] = [([_unpack(v, k) if N is None else N for v, N in zip(Q, nums[j::n])], d)
+                       for j, (Q, _) in enumerate(cols)]
+        else:
+            memo[1] = [_cleared(M.entries[j::M.cols]) for j in range(M.cols)]
     return memo[axis]
 
 
@@ -235,56 +261,72 @@ def _determinant(work, scales, k: int) -> RationalFunction:
     return RationalFunction(_canon(N, 1), _canon(reduce(_int_mul, scales), 1))
 
 
-def _over_determinant(nums: list[list[int]], d: list[int]) -> list[RationalFunction]:
-    """The canonical N / d for every integer polynomial N of nums, d nonzero.
+def _over_determinant(vals: list[int], d: list[int], k: int):
+    """(entries, numerators): the canonical N / d for every integer polynomial
+    N given as its value N(2^k), d nonzero, and the N it unpacked (None for
+    the others). Every N and d have coefficients below 2^(k-1) in size.
 
-    pp(d), its value at xi = 2^k >= 2 |pp(d)|_inf + 29 and the monic d are
-    found once. A nonconstant G dividing pp(d) has every root below
-    1 + |pp(d)|_inf (Cauchy), so |G(xi)| > xi / 2; when G also divides N,
-    G(xi) divides gcd(N(xi), pp(d)(xi)). So a gcd <= xi / 2 certifies N
-    coprime to d (Char, Geddes & Gonnet 1989), and N / d is N / lc(d) over
-    the monic d. Otherwise the balanced base-xi digits of the gcd give a
-    candidate h that, by their theorem, is the gcd once it divides both N
-    and pp(d) exactly; pp(d) / h is found once per distinct h, and an
-    entry whose candidate fails takes the full constructor.
+    pp(d) and the monic d are found once. A nonconstant G dividing pp(d)
+    has every root below 1 + |pp(d)|_inf (Cauchy), and 2^k >= 2 |pp(d)|_inf
+    + 2, so |G(2^k)| > 2^(k-1); when G also divides N, G(2^k) divides
+    gcd(N(2^k), pp(d)(2^k)). So a gcd <= 2^(k-1) certifies N coprime to d
+    (Char, Geddes & Gonnet 1989), and N / d is N / lc(d) over the monic d;
+    only then is N unpacked. Otherwise the balanced base-2^k digits of the
+    gcd give a candidate h that, by their theorem, is the gcd once it
+    divides both N and pp(d) exactly; pp(d) / h and h(2^k) are found once
+    per distinct h. h(2^k) divides the gcd, so p = N(2^k) / h(2^k) is an
+    integer; when its digits p have |p|_1 |h|_inf < 2^(k-1), p h and N
+    agree at 2^k and both have coefficients below 2^(k-1), so p h = N.
+    Otherwise N is unpacked and divided by h, and an entry whose candidate
+    fails takes the full constructor.
     """
     content = gcd(*d) if d[-1] > 0 else -gcd(*d)
     pd = [c // content for c in d]
     monic = _raw(pd, pd[-1])
-    k = (2 * max(map(abs, pd)) + 29).bit_length()
     half = 1 << (k - 1)
     at = _pack(pd, k)
     quotients = {}
     out = []
-    for N in nums:
-        if not N[-1]:
+    nums = []
+    for v in vals:
+        if not v:
             out.append(_ZERO_ENTRY)
+            nums.append([0])
             continue
-        g = gcd(_pack(N, k), at)
+        g = gcd(v, at)
         if g <= half:
-            p, q, den = N, pd, monic
+            N = p = _unpack(v, k)
+            q, den = pd, monic
         else:
             h = _candidate(g, k)
             key = tuple(h)
             if key not in quotients:
-                quotients[key] = _int_divides(h, pd)
-            q = quotients[key]
-            p = None if q is None else _int_divides(h, N)
+                q = _int_divides(h, pd)
+                quotients[key] = (q, q and _raw(q, q[-1]), _pack(h, k), max(map(abs, h)))
+            q, den, at_h, top = quotients[key]
+            N = p = None
+            if q is not None:
+                p = _unpack(v // at_h, k)
+                if _norm(p) * top >= half:  # p h = N is not proved
+                    N = _unpack(v, k)
+                    p = _int_divides(h, N)
             if p is None:
+                N = N or _unpack(v, k)
                 out.append(RationalFunction(_canon(N, 1), _canon(d, 1)))
+                nums.append(N)
                 continue
-            den = _raw(q, q[-1])
+        nums.append(N)
         if content < 0:
             p = [-c for c in p]
         # N / d = p / (content q) = p / (content lc(q)) over the monic q / lc(q).
         out.append(RationalFunction._reduced(_canon(p, abs(content) * q[-1]), den))
-    return out
+    return out, nums
 
 
 class TransferMatrix:
     """Dense matrix of canonical rational functions with optional partitions."""
 
-    # _memo holds what _lines has found; it is not part of the value.
+    # _memo holds what _lines and inverse have found; it is not part of the value.
     __slots__ = ("rows", "cols", "entries", "row_blocks", "col_blocks", "_memo")
 
     def __init__(self, rows, cols, entries, row_blocks=None, col_blocks=None):
@@ -450,23 +492,38 @@ class TransferMatrix:
 
         With M = diag(l)^-1 P (rows cleared), M^-1 = P^-1 diag(l), and the
         elimination of [P | diag(l)] ends at [d I | d P^-1 diag(l)] with
-        d = +-det P: its right half is the numerators N of M^-1 = N / d. The
-        result's column memo holds column j as (N[j::n], d), uncancelled.
+        d = +-det P: its right half is the numerators N of M^-1 = N / d.
+        With r_i = |l_i| + sum_j |P_ij| (l1 norms), every minor, so every N
+        and d, is at most prod r_i, and the rows are packed once at
+        k = _width(2 max r_i prod r_i): that holds the minors and also the
+        bound of _packed_lines for M times its inverse. The packed rows stay
+        on M's memo, and the result's memo takes its packed columns
+        (N_j(2^k), d(2^k)) with their bound 2 prod r_i, so
+        product_is_identity(M, M^-1) packs nothing. The entries are reduced
+        from the eliminated values at k (_over_determinant); the unpacked
+        columns (N[j::n], d), uncancelled, are built on first use (_lines).
         """
         if not self.is_square:
             raise DimensionMismatch("only square matrices can be inverted")
         n = self.rows
         cleared = _lines(self, 0)
-        k = _width(prod(_norm(l) + sum(map(_norm, P)) for P, l in cleared))
-        work = [[_pack(p, k) for p in P] + [_pack(l, k) if i == j else 0 for j in range(n)]
-                for i, (P, l) in enumerate(cleared)]
-        d = _bareiss(work, n, jordan=True)[0]
-        if d is None:
+        norms = [_norm(l) + sum(map(_norm, P)) for P, l in cleared]
+        minors = prod(norms)
+        memo = self._memo
+        if memo[2] is None:
+            k = _width(2 * max(norms) * minors)
+            memo[2] = ([([_pack(p, k) for p in P], _pack(l, k)) for P, l in cleared],
+                       k, max(norms))
+        rows, k, _ = memo[2]
+        work = [P + [l if i == j else 0 for j in range(n)] for i, (P, l) in enumerate(rows)]
+        dv = _bareiss(work, n, jordan=True)[0]
+        if dv is None:
             raise SingularMatrix("matrix is singular as a rational matrix")
-        N = [_unpack(v, k) for row in work for v in row[n:]]
-        d = _unpack(d, k)
-        return TransferMatrix._trusted(n, n, _over_determinant(N, d), self.col_blocks,
-                                       self.row_blocks, [None, [(N[j::n], d) for j in range(n)]])
+        d = _unpack(dv, k)
+        entries, nums = _over_determinant([v for row in work for v in row[n:]], d, k)
+        cols = [([row[j] for row in work], dv) for j in range(n, 2 * n)]
+        return TransferMatrix._trusted(n, n, entries, self.col_blocks, self.row_blocks,
+                                       [None, None, None, (cols, k, 2 * minors, nums, d)])
 
     def determinant(self) -> RationalFunction:
         """Exact determinant, det P / prod(l_i), from the forward elimination."""
@@ -487,7 +544,17 @@ def _packed_lines(X: TransferMatrix, Y: TransferMatrix):
     """The rows (P_i, l_i) of X and the columns (Q_j, m_j) of Y, cleared and
     packed, and their width k. In l1 norms, delta_ij l_i m_j - P_i . Q_j is
     at most |l_i| |m_j| + sum_k |P_ik| |Q_kj|, so at most
-    (|l_i| + sum_k |P_ik|) (|m_j| + max_k |Q_kj|), which k holds."""
+    (|l_i| + sum_k |P_ik|) (|m_j| + max_k |Q_kj|), which k holds.
+
+    X's packed rows and Y's packed columns, handed off by inverse, are
+    reused when they share one k that holds the product of their bounds
+    (as for M and M^-1); every other product packs here."""
+    xm, ym = X._memo, Y._memo
+    if xm is not None and ym is not None and xm[2] is not None and ym[3] is not None:
+        rows, k, row_bound = xm[2]
+        cols, col_k, col_bound = ym[3][:3]
+        if k == col_k and _width(row_bound * col_bound) <= k:
+            return rows, cols, k
     rows = _lines(X, 0)
     cols = _lines(Y, 1)
     k = _width(max(_norm(l) + sum(map(_norm, P)) for P, l in rows)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +22,26 @@ from realstab.analysis import (
     small_gain_margin,
     stability_verdict,
 )
-from realstab.errors import NotStable, PoleOnGrid
-from realstab.matrix import TransferMatrix
+from realstab.errors import NoStabilityMatrix, NotStable, PoleOnGrid
+from realstab.matrix import StateSpace, TransferMatrix
+from realstab.realization import (
+    build_output_feedback,
+    build_plant_controller,
+    build_sf_sls,
+    build_state_feedback,
+    stability_matrix,
+)
 from realstab.uncertainty import _fir_of, _fir_taps
 
-from conftest import HALF, Z, random_proper, rf
+from conftest import (
+    HALF,
+    Z,
+    random_fm,
+    random_proper,
+    random_proper_tm,
+    random_strictly_proper_tm,
+    rf,
+)
 
 EPS = float(np.finfo(float).eps)
 
@@ -95,6 +112,41 @@ def test_verdict_repeats_the_witnesses_of_a_shared_denominator():
     want = sorted(((p, abs(p)) for p in matrix_poles(X) if abs(p) >= 1 - 1e-9),
                   key=lambda w: (-w[1], w[0].real, w[0].imag))
     assert v.witnesses == tuple(want)
+
+
+def _suite_loops(rng):
+    """One loop of every family and size of the identity benchmark: plant
+    and controller up to 2 x 2, state feedback and its SLS form with up to
+    4 states and 2 inputs, output feedback with up to 2 outputs as well."""
+    def plant(n, m, p):
+        return StateSpace(random_fm(rng, n, n), random_fm(rng, n, m),
+                          random_fm(rng, p, n), random_fm(rng, p, m))
+    for p in (1, 2):
+        for m in (1, 2):
+            yield build_plant_controller(random_proper_tm(rng, p, m), random_proper_tm(rng, m, p))
+    for n in (1, 2, 3, 4):
+        for m in (1, 2):
+            yield build_state_feedback(plant(n, m, 1), random_proper_tm(rng, m, n))
+            yield build_sf_sls(plant(n, m, 1), random_strictly_proper_tm(rng, n, n),
+                               random_strictly_proper_tm(rng, m, n))
+            for p in (1, 2):
+                yield build_output_feedback(plant(n, m, p), random_proper_tm(rng, m, p))
+
+
+def test_verdicts_of_stability_matrices_are_pinned():
+    # sha256 of repr(stability_verdict(S)) over every loop of _suite_loops
+    # for seeds 0-29: the witnesses' order and their printed form, complex
+    # for real poles too, must not move.
+    digest = hashlib.sha256()
+    for seed in range(30):
+        for sys in _suite_loops(random.Random(seed)):
+            try:
+                verdict = repr(stability_verdict(stability_matrix(sys)))
+            except NoStabilityMatrix:
+                verdict = "singular"
+            digest.update(verdict.encode() + b";")
+    assert digest.hexdigest() == ("b642a1bb4b7952b0c978313101a702eb"
+                                  "8661ba745345940f25fe1a10ed14d094")
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True,

@@ -11,6 +11,8 @@ are test-only; the module is skipped when either is missing.
 
 import copy
 from fractions import Fraction
+from math import prod
+from unittest import mock
 
 import pytest
 
@@ -27,10 +29,13 @@ from realstab.errors import DimensionMismatch, SingularMatrix  # noqa: E402
 from realstab.matrix import (  # noqa: E402
     StateSpace,
     TransferMatrix,
+    _bareiss,
     _cleared,
+    _norm,
     _over_determinant,
     _pack,
     _unpack,
+    _width,
     loop_determinant,
     product_is_identity,
 )
@@ -323,12 +328,30 @@ def test_minors_reach_the_packing_bound():
     assert_product_matches(DENSE, DENSE)
 
 
+def dense_eliminated(k):
+    """(d, N) from eliminating DENSE's cleared [P | diag(l)] packed at width k, or None."""
+    work = [[_pack(p, k) for p in P] + [_pack(l, k) if i == j else 0 for j in range(3)]
+            for i, (P, l) in enumerate(matrix._lines(DENSE, 0))]
+    d = _bareiss(work, 3, jordan=True)[0]
+    return None if d is None else (_unpack(d, k), [_unpack(v, k) for r in work for v in r[3:]])
+
+
 def test_one_bit_narrower_packing_breaks_the_results(monkeypatch):
+    # The inverse packs at _width(2 max r prod r), log2(2 max r) bits more
+    # than its minors need, so that the identity product can reuse its
+    # rows and columns. Pin both: one bit below the minors' own width breaks
+    # the elimination, and the hand-off carries exactly the wider width.
+    norms = [_norm(l) + sum(map(_norm, P)) for P, l in matrix._lines(DENSE, 0)]
+    exact = dense_eliminated(_width(prod(norms)))
+    assert exact[0] == [0, 3 * BIG, 0, BIG ** 3]
+    assert dense_eliminated(_width(prod(norms)) - 1) != exact
+    fresh = TransferMatrix(3, 3, DENSE.entries)
+    handed = fresh.inverse()._memo[3]
+    assert handed[1] == fresh._memo[2][1] == _width(2 * max(norms) * prod(norms))
     eye = TransferMatrix.identity(3)
     cases = [
         (DIAGONAL.determinant, RationalFunction(-315 * Z * Z * Z)),
         (DENSE.determinant, DENSE.determinant()),
-        (DENSE.inverse, DENSE.inverse()),
         (lambda: loop_determinant(eye - DENSE, eye), DENSE.determinant()),
         (lambda: DENSE * DENSE, DENSE * DENSE),
     ]
@@ -400,16 +423,34 @@ def test_inverse_hands_back_exact_columns(M, r, data):
     except SingularMatrix:
         return
     assert inv._memo[0] is None
-    columns = copy.deepcopy(inv._memo[1])
+    columns = copy.deepcopy(matrix._lines(inv, 1))
     n = M.rows
     assert len(columns) == n
-    for j, (Q, m) in enumerate(inv._memo[1]):
+    for j, (Q, m) in enumerate(matrix._lines(inv, 1)):
         assert [RationalFunction(Polynomial(q), Polynomial(m)) for q in Q] == \
             [inv[i, j] for i in range(n)]
     X = TransferMatrix(r, n, data.draw(st.lists(ratfuns, min_size=r * n, max_size=r * n)))
     assert X * inv == X * TransferMatrix(n, n, inv.entries)
     assert product_is_identity(M, inv) and product_is_identity(inv, M)
-    assert inv._memo[1] == columns
+    assert matrix._lines(inv, 1) == columns
+
+
+def test_hand_offs_of_one_width_are_reused_only_when_it_holds_their_product():
+    # Both inverses pack at k = 23: A's rows have bound 1002 and 2 * 1002 *
+    # prod r = 4016016, and S's columns have bound 2 * 126^2 with 2 * 126^3
+    # = 4000752. Their product needs 26 bits: (l_0 m_0)(z) = 15625 (z - 1000)
+    # does not fit 23, so A * S packs afresh.
+    A = TransferMatrix.from_rows([[RationalFunction(1, Z - 1000), 0], [0, 1]])
+    B = TransferMatrix.constant([[125, 0], [0, 125]])
+    A.inverse()
+    S = B.inverse()
+    assert A._memo[2][1] == S._memo[3][1] == 23
+    assert _width(A._memo[2][2] * S._memo[3][2]) == 26
+    plain = TransferMatrix(2, 2, S.entries)
+    assert A * S == A * plain == TransferMatrix.from_rows(
+        [[RationalFunction(Fraction(1, 125), Z - 1000), 0], [0, Fraction(1, 125)]])
+    assert not product_is_identity(A, S)
+    assert product_is_identity(A, A.inverse()) and product_is_identity(B, S)
 
 
 @st.composite
@@ -517,13 +558,32 @@ def reference_entries(nums, d):
     return [RationalFunction(_canon(list(N), 1), _canon(list(d), 1)) for N in nums]
 
 
+def over_determinant(nums, d):
+    """_over_determinant's entries for nums and d packed at the least width
+    that holds them, which is also one that makes its certificate valid."""
+    k = _width(max(map(_norm, nums + [d])))
+    return _over_determinant([_pack(N, k) for N in nums], d, k)[0]
+
+
+# z^8 - 1 over 3 (z + 1) at k = 4: the quotient's digits at 2^4 are not
+# those of z^7 - z^6 + ... - 1, whose |p|_1 |h|_inf = 8 is not below 2^3.
+NORM_FALLBACK = [-1, 0, 0, 0, 0, 0, 0, 0, 1]
+
+
 @SETTINGS
 @given(over_determinant_cases())
 @example(([[0], [3], [0, 5]], [7]))  # zero entries over a constant d
 @example(([[1, 1], [-2, 0, 2], [4, 4]], [-6, -12, -6]))  # (z + 1)^2 with content and sign
+@example(([NORM_FALLBACK], [3, 3]))
+@example(([[0, 3, 3], [2, 0, -2], [5, 1], [0]], [-2, -2]))  # -2 (z + 1): negative content
 def test_shared_denominator_pass_matches_the_constructor(case):
     nums, d = case
-    assert _over_determinant(nums, d) == reference_entries(nums, d)
+    divided = []
+    divides = matrix._int_divides
+    with mock.patch.object(matrix, "_int_divides", lambda b, a: divided.append(a) or divides(b, a)):
+        assert over_determinant(nums, d) == reference_entries(nums, d)
+    if nums == [NORM_FALLBACK]:
+        assert NORM_FALLBACK in divided
 
 
 def test_rejected_candidate_takes_the_full_constructor(monkeypatch):
@@ -533,5 +593,5 @@ def test_rejected_candidate_takes_the_full_constructor(monkeypatch):
     monkeypatch.setattr(matrix, "_int_divides", lambda b, a: checks.append(b) and None)
     d = _int_mul([-4, 1], _int_mul([1, 1], [3]))  # 3 (z - 4)(z + 1)
     nums = [[1, 1], [2, -6, -8], [0, 5, 5], [0], [7, 0, 1]]
-    assert _over_determinant(nums, d) == reference_entries(nums, d)
+    assert over_determinant(nums, d) == reference_entries(nums, d)
     assert checks

@@ -389,6 +389,22 @@ def test_identity_check_clears_the_loop_rows_once(monkeypatch, build):
     assert verify_rs_identity(sys, stability_matrix(sys))
     assert len(calls) == sys.loop.rows
 
+def test_identity_check_packs_nothing_after_the_inverse(monkeypatch, rng):
+    # The inverse leaves I - R's packed rows on its memo and hands S its
+    # packed columns at one width that holds their product, so the check
+    # packs nothing; a changed S carries no hand-off and is packed afresh.
+    for sys in _random_loops(rng):
+        S = stability_matrix(sys)
+        calls = []
+        pack = matrix._pack
+        monkeypatch.setattr(matrix, "_pack", lambda p, k: calls.append(1) or pack(p, k))
+        assert verify_rs_identity(sys, S)
+        assert calls == []
+        assert not verify_rs_identity(sys, _bump(S, 0))
+        assert calls
+        monkeypatch.undo()
+
+
 def test_constructor_takes_only_the_loop_matrix():
     blocks = (("a", 1), ("b", 1))
     R = TransferMatrix(2, 2, [rf(0), rf(1, Z), rf(HALF), rf(0)], blocks, blocks)
